@@ -541,8 +541,10 @@ def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
     """Certificates for the driven atom-cavity reduction over a k sweep.
 
     The approximant is optimized once on the reduced model (it is
-    k-independent); each k then only rescales the M sums. Returns
-    (reports, optimization result or None if a state was supplied).
+    k-independent); each k then only rescales the M sums. Both search stages
+    run the sequential block optimizer, which is deterministic and does not
+    use `seed`: any seed gives the same state. Returns (reports, optimization
+    result or None if a state was supplied).
     """
     model = atom_cavity_ae(gamma, g, alpha, J_max)
     reduced = limit_coefficients(model)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .adiabatic import ae_certificate_table
-from .errors import InvalidParameterError, QsdeCertError
+from .errors import InvalidParameterError, PartitionError, QsdeCertError
 from .models import kerr_cavity, model_from_json
 from .operators import basis_state
 from .semigroup import SimpleFunction
@@ -186,6 +187,20 @@ def _load_constants(path) -> list[BoundConstants]:
         ) from exc
 
 
+def _parse_partition(text: str) -> list[float]:
+    try:
+        partition = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise InvalidParameterError(
+            f"--partition must be comma-separated numbers, got {text!r}"
+        ) from exc
+    if len(partition) < 2:
+        raise PartitionError(f"--partition needs at least two breakpoints, got {text!r}")
+    if not all(math.isfinite(x) for x in partition):
+        raise PartitionError(f"--partition breakpoints must be finite, got {text!r}")
+    return partition
+
+
 def cmd_bound(parser, args) -> int:
     if args.model == "kerr" and args.constants is None:
         if args.k is None:
@@ -205,7 +220,7 @@ def cmd_bound(parser, args) -> int:
 
     if args.partition is None:
         parser.error("rate-constant evaluation needs --partition")
-    partition = [float(x) for x in args.partition.split(",")]
+    partition = _parse_partition(args.partition)
     n_intervals = len(partition) - 1
     if args.constants is not None:
         consts = _load_constants(args.constants)
@@ -268,14 +283,14 @@ def cmd_verify(parser, args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _add_common(p, *, t_final, intervals):
+def _add_common(p, *, t_final, intervals, seed_help=None):
     p.add_argument("--k", type=int, default=None, help="single level")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--t-final", type=float, default=t_final, dest="t_final")
     p.add_argument("--intervals", type=int, default=intervals)
     p.add_argument("--alpha", type=complex, default=0.1 + 0j)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -298,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kerr_table)
 
     p = sub.add_parser("ae-table", help="atom-cavity elimination benchmark")
-    _add_common(p, t_final=1.0, intervals=1000)
+    _add_common(p, t_final=1.0, intervals=1000,
+                seed_help="accepted for symmetry; the block search is "
+                "deterministic and does not use it")
     p.add_argument("--k-list", default=AE_DEFAULT_KS)
     p.add_argument("--blocks", type=int, default=100,
                    help="number of sequential optimization blocks")

@@ -71,6 +71,9 @@ class SlhModel:
             for Sji in row:
                 if Sji.shape != (dim, dim):
                     raise InvalidDimensionError("scattering block shape mismatch")
+        for op in (H, *L, *(Sji for row in S for Sji in row)):
+            if not np.isfinite(op).all():
+                raise InvalidParameterError("model operators must be finite")
         if factor_dims is None:
             factor_dims = (dim,)
         factor_dims = tuple(int(d) for d in factor_dims)
@@ -274,9 +277,12 @@ def encode_matrix(a: np.ndarray):
 
 
 def decode_matrix(data) -> np.ndarray:
-    return np.array(
+    a = np.array(
         [[complex(x[0], x[1]) for x in row] for row in data], dtype=complex
     )
+    if not np.isfinite(a).all():
+        raise InvalidParameterError("matrix entries must be finite")
+    return a
 
 
 def encode_vector(v: np.ndarray):

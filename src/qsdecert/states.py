@@ -21,11 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import (
-    InvalidApproximantError,
-    InvalidParameterError,
-    PartitionError,
-)
+from .errors import InvalidApproximantError, PartitionError
 from .models import SlhModel, decode_vector, encode_vector
 from .operators import adjoint
 from .semigroup import SimpleFunction, chain, refine_common
@@ -44,6 +40,7 @@ __all__ = [
 
 # Penalty returned to the simplex when a candidate produces a non-finite cost.
 SEARCH_PENALTY = 1e6
+_EPS = np.finfo(float).eps
 
 
 def exp_inner(f: SimpleFunction, g: SimpleFunction) -> complex:
@@ -176,14 +173,14 @@ class OptimizeSchedule:
 
     block_size=None runs one joint simplex search over all free amplitude
     values; a positive block_size sweeps the partition block by block,
-    minimizing the full-horizon cost over one block at a time. With
-    optimize_u the system vectors are not searched: they are solved exactly
-    from the terms' Gram system (restricted to the first u_support
-    components when set, frozen tails handled exactly). u_penalty > 0
-    damps that solve toward small coefficients -- the exact minimizer of an
-    ill-conditioned Gram system cancels huge terms against each other, which
-    is poison for certificates whose rate sums are weighted by sum_j ||u_j||.
-    The reported cost is always the true undamped residual.
+    minimizing the full-horizon cost over one block at a time. The system
+    vectors are not searched: they are solved exactly from the terms' Gram
+    system (restricted to the first u_support components when set, frozen
+    tails handled exactly). u_penalty > 0 damps that solve toward small
+    coefficients -- the exact minimizer of an ill-conditioned Gram system
+    cancels huge terms against each other, which is poison for certificates
+    whose rate sums are weighted by sum_j ||u_j||. The reported cost is
+    always the true undamped residual.
     """
 
     seed: int = 0
@@ -194,7 +191,6 @@ class OptimizeSchedule:
     u_support: int | None = None
     restart_scale: float = 0.05
     block_size: int | None = None
-    optimize_u: bool = True
     u_penalty: float = 0.0
 
 
@@ -207,22 +203,30 @@ class OptimizeResult:
 
 
 def _expm2(M: np.ndarray) -> np.ndarray:
-    """Closed-form exponential of a 2x2 complex matrix."""
-    mu = 0.5 * (M[0, 0] + M[1, 1])
-    a = M[0, 0] - mu
-    b = M[0, 1]
-    c = M[1, 0]
+    """Closed-form exponential of a 2x2 complex matrix or an (n, 2, 2) stack."""
+    mu = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
+    a = M[..., 0, 0] - mu
+    b = M[..., 0, 1]
+    c = M[..., 1, 0]
     d2 = a * a + b * c
     d = np.sqrt(d2)
-    if abs(d) < 1e-6:
-        ch = 1.0 + d2 / 2.0 + d2 * d2 / 24.0
-        sh = 1.0 + d2 / 6.0 + d2 * d2 / 120.0
-    else:
-        ch = np.cosh(d)
-        sh = np.sinh(d) / d
-    return np.exp(mu) * np.array(
-        [[ch + sh * a, sh * b], [sh * c, ch - sh * a]], dtype=complex
-    )
+    small = np.abs(d) < 1e-6
+    # Series for cosh(d) and sinh(d)/d near d = 0. Each branch gets harmless
+    # arguments where the other one is taken, so neither warns.
+    z2 = np.where(small, d2, 0.0)
+    ch = np.where(small, 1.0 + z2 / 2.0 + z2 * z2 / 24.0, np.cosh(d))
+    sh = np.where(small, 1.0 + z2 / 6.0 + z2 * z2 / 120.0,
+                  np.sinh(d) / np.where(small, 1.0, d))
+    e = np.exp(mu)
+    ec = e * ch
+    es = e * sh
+    esa = es * a
+    out = np.empty(np.shape(M), dtype=complex)
+    out[..., 0, 0] = ec + esa
+    out[..., 0, 1] = es * b
+    out[..., 1, 0] = es * c
+    out[..., 1, 1] = ec - esa
+    return out
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
@@ -237,6 +241,9 @@ def _solve_coefficients(kappa, b, support, us, ws, qs, penalty=0.0):
     Minimizes C0 - 2 Re(v^dag c) + c^dag (kappa (x) I) c where the constant
     carries the frozen tails; returns (cost, solved u list). kappa is the
     field Gram exp<g_i, g_j>, b[j, a] = w_j (u^dag C_j)[a] on the support.
+    Since pinv(kappa (x) I) = pinv(kappa) (x) I, the system is solved as
+    kappa c = conj(b) with one right-hand side per support component, at the
+    singular-value cutoff of the (L s)-square system.
 
     penalty > 0 adds a ridge penalty * sum_j kappa[j,j] ||c_j||^2 to the
     solve (Levenberg damping by the Gram diagonal, i.e. the squared term
@@ -246,39 +253,46 @@ def _solve_coefficients(kappa, b, support, us, ws, qs, penalty=0.0):
     """
     L = len(us)
     s = support
-    if not (
-        np.all(np.isfinite(kappa.view(float)))
-        and np.all(np.isfinite(b.view(float)))
-        and all(np.all(np.isfinite(q.view(float))) for q in qs)
-    ):
+    q = np.asarray(qs)
+    if not (np.isfinite(kappa).all() and np.isfinite(b).all()
+            and np.isfinite(q).all()):
         return math.inf, us
-    tails = [u.copy() for u in us]
-    for r in tails:
-        r[:s] = 0.0
+    solved = np.array(us, dtype=complex)
     c0 = 1.0
-    for j in range(L):
-        for l in range(L):
-            c0 += (kappa[j, l] * np.vdot(tails[j], tails[l])).real
-    for j in range(L):
-        c0 -= 2.0 * ws[j] * (qs[j] @ tails[j]).real
+    if s < solved.shape[1]:
+        tails = solved[:, s:]
+        c0 += float(np.sum(kappa * (tails.conj() @ tails.T)).real)
+        c0 -= 2.0 * float(np.dot(ws, np.sum(q[:, s:] * tails, axis=1).real))
 
-    M = np.kron(kappa, np.eye(s))
-    v = np.conj(b).reshape(L * s)
+    v = np.conj(b)
+    rcond = _EPS * L * s
     if penalty > 0.0:
-        damped = M + penalty * np.diag(np.repeat(np.diag(kappa).real, s))
-        cstar, *_ = np.linalg.lstsq(damped, v, rcond=None)
+        damped = kappa + np.diag(penalty * kappa.diagonal().real)
+        cstar = np.linalg.lstsq(damped, v, rcond=rcond)[0]
         value = c0 - 2.0 * float(np.vdot(v, cstar).real) + float(
-            np.vdot(cstar, M @ cstar).real
+            np.vdot(cstar, kappa @ cstar).real
         )
     else:
-        cstar, *_ = np.linalg.lstsq(M, v, rcond=None)
+        cstar = np.linalg.lstsq(kappa, v, rcond=rcond)[0]
         value = c0 - float(np.vdot(v, cstar).real)
-    solved = []
-    for j in range(L):
-        u = tails[j]
-        u[:s] = cstar[j * s:(j + 1) * s]
-        solved.append(u)
-    return math.sqrt(max(value, 0.0)), solved
+    solved[:, :s] = cstar
+    return math.sqrt(max(value, 0.0)), list(solved)
+
+
+def _horizon_cost(kappa, qs, us, support, penalty):
+    """(cost, solved u list, failed) for field Gram kappa and chain rows qs.
+
+    qs[j] = u^dag T_j is term j's chain row; the weights are ||e(g_j)||. A
+    non-finite cost returns SEARCH_PENALTY with us unchanged and failed set.
+    """
+    ws = np.sqrt(np.maximum(kappa.diagonal().real, 0.0))
+    qs = np.asarray(qs)
+    value, solved = _solve_coefficients(
+        kappa, ws[:, None] * qs[:, :support], support, us, ws, qs, penalty
+    )
+    if not np.isfinite(value):
+        return SEARCH_PENALTY, us, True
+    return value, solved, False
 
 
 class _CostEngine:
@@ -340,12 +354,8 @@ class _CostEngine:
             row = row @ _expm(G * dt)
         return row
 
-    def evaluate(self, us, vals_list, template, solve_u: bool):
-        """(cost, u list) at candidate amplitude values.
-
-        With solve_u the returned u_j minimize the cost exactly for these
-        amplitudes; otherwise the given us are used as-is.
-        """
+    def evaluate(self, us, vals_list, template):
+        """(cost, u list) at candidate amplitude values, u_j solved exactly."""
         L = len(vals_list)
         gs = [
             SimpleFunction(g.breakpoints, vals)
@@ -355,30 +365,12 @@ class _CostEngine:
         for i in range(L):
             for l in range(L):
                 kappa[i, l] = exp_inner(gs[i], gs[l])
-        ws = [math.sqrt(max(kappa[j, j].real, 0.0)) for j in range(L)]
         qs = [self.chain_row(j, vals_list[j]) for j in range(L)]
-
-        if solve_u:
-            s = self.support
-            b = np.array([ws[j] * qs[j][:s] for j in range(L)])
-            value, solved = _solve_coefficients(
-                kappa, b, s, us, ws, qs, self.u_penalty
-            )
-            if not np.isfinite(value):
-                self.failed = True
-                return SEARCH_PENALTY, us
-            return value, solved
-
-        total = 1.0
-        for j in range(L):
-            total -= 2.0 * ws[j] * (qs[j] @ us[j]).real
-        for i in range(L):
-            for l in range(L):
-                total += (np.vdot(us[i], us[l]) * kappa[i, l]).real
-        if not np.isfinite(total):
-            self.failed = True
-            return SEARCH_PENALTY, us
-        return math.sqrt(max(total, 0.0)), us
+        value, solved, failed = _horizon_cost(
+            kappa, qs, us, self.support, self.u_penalty
+        )
+        self.failed |= failed
+        return value, solved
 
 
 def _pack_values(state: ApproxState):
@@ -411,9 +403,7 @@ def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
     us0 = [uj.astype(complex).copy() for uj, _ in initial.terms]
 
     def objective(x):
-        value, _ = engine.evaluate(
-            us0, _unpack_values(x, shapes), initial, schedule.optimize_u
-        )
+        value, _ = engine.evaluate(us0, _unpack_values(x, shapes), initial)
         return value
 
     rng = np.random.default_rng(schedule.seed)
@@ -437,7 +427,7 @@ def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x
     vals = _unpack_values(best_x, shapes)
-    _, us = engine.evaluate(us0, vals, initial, schedule.optimize_u)
+    _, us = engine.evaluate(us0, vals, initial)
     terms = [
         (uj, SimpleFunction(g.breakpoints, v))
         for uj, v, (_, g) in zip(us, vals, initial.terms)
@@ -456,15 +446,15 @@ class _BlockOptimizer:
     cached per term and the unswept tail enters through per-term suffix
     products T^(hi) ... T^(P-1) (valid for a whole pass, since later blocks
     keep their current values until their own sweep). A candidate block
-    therefore only costs block_size small exponentials plus one small
-    matrix-vector product. Gram data (amplitude L2 inner products) is kept
-    as committed prefixes, per-candidate block contributions and a
-    right-cumulative tail; after every block the system vectors are
-    re-solved exactly from the Gram system.
+    therefore only costs one stacked exponential of its block_size small
+    generators plus block_size small matrix-vector products. Gram data
+    (amplitude L2 inner products) is kept as committed prefixes,
+    per-candidate block contributions and a right-cumulative tail; after
+    every block the system vectors are re-solved exactly from the Gram
+    system.
     """
 
     def __init__(self, model, psi, initial: ApproxState, schedule: OptimizeSchedule):
-        self.model = model
         self.u, self.f = psi
         self.u = np.asarray(self.u, dtype=complex)
         self.schedule = schedule
@@ -479,137 +469,119 @@ class _BlockOptimizer:
         self.dts = np.diff(self.breakpoints)
         self.P = len(self.dts)
         self.m = model.m
+        self.dim = model.dim
         # f must be constant per global interval for the fused generator form.
-        fr = self.f.with_breakpoints(self.breakpoints)
-        self.alphas = fr.values
+        alphas = self.f.with_breakpoints(self.breakpoints).values
 
+        # dt G(beta) = basis . (1, beta_1, ..., beta_m, -|beta|^2 / 2) with the
+        # basis (G0, D_1, ..., D_m, I) frozen per interval and scaled by dt.
         base = -0.5 * sum(adjoint(L) @ L for L in model.L) + 1j * model.H
         Sd = [[adjoint(model.S[j][i]) for i in range(model.m)] for j in range(model.m)]
         eye = np.eye(model.dim, dtype=complex)
-        self.G0 = []
-        self.D = []
+        self.basis = np.empty((self.P, self.m + 2, model.dim, model.dim), dtype=complex)
         for p in range(self.P):
-            alpha = self.alphas[p]
+            alpha = alphas[p]
             G0 = base.copy()
             for j in range(model.m):
                 for i in range(model.m):
                     G0 -= np.conj(alpha[i]) * (Sd[j][i] @ model.L[j])
             G0 -= 0.5 * float(np.vdot(alpha, alpha).real) * eye
-            self.G0.append(G0)
-            D = []
+            self.basis[p, 0] = G0
             for j in range(model.m):
                 Dj = adjoint(model.L[j]).astype(complex)
                 for i in range(model.m):
                     Dj = Dj + np.conj(alpha[i]) * Sd[j][i]
-                D.append(Dj)
-            self.D.append(D)
-        self.eye = eye
+                self.basis[p, 1 + j] = Dj
+            self.basis[p, -1] = eye
+        self.basis *= self.dts[:, None, None, None]
 
         self.us = [u.astype(complex).copy() for u, _ in initial.terms]
-        self.vals = [g.values.copy() for _, g in initial.terms]
+        self.vals = np.array([g.values for _, g in initial.terms], dtype=complex)
         self.L = len(self.us)
         self.support = min(schedule.u_support or model.dim, model.dim)
         # Committed prefixes (over intervals [0, committed)).
         self.rows = [self.u.conj().copy() for _ in range(self.L)]
         self.g_inner = np.zeros((self.L, self.L), dtype=complex)
-        self.committed = 0
         # Tail data (suffix chain products and right-cumulative Gram sums),
         # rebuilt once per pass from the values the unswept blocks carry.
         self.suffix = None
         self.tail_gram = None
 
     def _build_tail(self):
-        dim = self.model.dim
-        eye = np.eye(dim, dtype=complex)
-        self.suffix = []
+        eye = np.eye(self.dim, dtype=complex)
+        self.suffix = np.empty((self.L, self.P + 1, self.dim, self.dim), dtype=complex)
         for i in range(self.L):
-            acc = [eye]
+            Ts = self._block_T(self.basis, self.vals[i])
+            acc = self.suffix[i, self.P] = eye
             for p in range(self.P - 1, -1, -1):
-                acc.append(self._interval_T(p, self.vals[i][p]) @ acc[-1])
-            acc.reverse()  # suffix[i][p] = T(p) ... T(P-1), suffix[i][P] = I
-            self.suffix.append(acc)
+                acc = self.suffix[i, p] = Ts[p] @ acc  # T(p) ... T(P-1)
+        per_interval = np.einsum(
+            "p,ipc,lpc->pil", self.dts, np.conj(self.vals), self.vals
+        )
         self.tail_gram = np.zeros((self.P + 1, self.L, self.L), dtype=complex)
-        for p in range(self.P - 1, -1, -1):
-            block = np.empty((self.L, self.L), dtype=complex)
-            for i in range(self.L):
-                for l in range(self.L):
-                    block[i, l] = self.dts[p] * np.vdot(self.vals[i][p], self.vals[l][p])
-            self.tail_gram[p] = self.tail_gram[p + 1] + block
+        self.tail_gram[:self.P] = np.cumsum(per_interval[::-1], axis=0)[::-1]
 
-    def _interval_T(self, p: int, beta) -> np.ndarray:
-        G = self.G0[p] + sum(beta[c] * self.D[p][c] for c in range(self.m))
-        G = G - 0.5 * float(np.vdot(beta, beta).real) * self.eye
-        return _expm(G * self.dts[p])
+    def _block_T(self, basis, vals) -> np.ndarray:
+        """Stack of exp(dt_p G_p(beta_p)) over the intervals of a basis slice."""
+        coef = np.empty((len(vals), self.m + 2), dtype=complex)
+        coef[:, 0] = 1.0
+        coef[:, 1:-1] = vals
+        coef[:, -1] = -0.5 * np.sum(np.abs(vals) ** 2, axis=1)
+        G = np.einsum("pk,pkij->pij", coef, basis)
+        return _expm2(G) if self.dim == 2 else scipy.linalg.expm(G)
 
-    def _block_row(self, j: int, lo: int, hi: int, vals) -> np.ndarray:
-        row = self.rows[j]
-        for p in range(lo, hi):
-            row = row @ self._interval_T(p, vals[p - lo])
+    def _chain_row(self, row, basis, vals) -> np.ndarray:
+        """row T^(lo) ... T^(hi-1) over the intervals of a basis slice."""
+        for T in self._block_T(basis, vals):
+            row = row @ T
         return row
 
-    def _horizon_cost(self, kappa, qs, us, solve_u: bool):
-        ws = [math.sqrt(max(kappa[j, j].real, 0.0)) for j in range(self.L)]
-        if solve_u:
-            s = self.support
-            b = np.array([ws[j] * qs[j][:s] for j in range(self.L)])
-            value, solved = _solve_coefficients(
-                kappa, b, s, us, ws, qs, self.schedule.u_penalty
-            )
-            if not np.isfinite(value):
-                self.failed = True
-                return SEARCH_PENALTY, us
-            return value, solved
-        total = 1.0
-        for j in range(self.L):
-            total -= 2.0 * ws[j] * (qs[j] @ us[j]).real
-        for i in range(self.L):
-            for l in range(self.L):
-                total += (np.vdot(us[i], us[l]) * kappa[i, l]).real
-        if not np.isfinite(total):
-            self.failed = True
-            return SEARCH_PENALTY, us
-        return math.sqrt(max(total, 0.0)), us
+    def _gram(self, lo: int, hi: int) -> np.ndarray:
+        """sum over p in [lo, hi) of dt_p <g_i(p), g_l(p)>, as an (L, L) array."""
+        block = self.vals[:, lo:hi]
+        return np.einsum("p,ipc,lpc->il", self.dts[lo:hi], np.conj(block), block)
+
+    def _block_qs(self, lo: int, hi: int) -> np.ndarray:
+        return np.array([
+            self._chain_row(self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi])
+            @ self.suffix[i, hi]
+            for i in range(self.L)
+        ])
 
     def _sweep_block(self, lo: int, hi: int):
         """One per-term pass over block [lo, hi), full-horizon objective."""
         dts = self.dts[lo:hi, None]
         nb = hi - lo
-        solve_u = self.schedule.optimize_u
+        k = nb * self.m
+        basis = self.basis[lo:hi]
+        penalty = self.schedule.u_penalty
         for j in range(self.L):
             # Rows and Gram contributions of the other terms are fixed for
             # this pass; only term j's block changes per candidate.
-            other_qs = [
-                self._block_row(i, lo, hi, self.vals[i][lo:hi]) @ self.suffix[i][hi]
-                for i in range(self.L)
-            ]
-            base_inner = self.g_inner + self.tail_gram[hi]
-            for i in range(self.L):
-                for l in range(self.L):
-                    base_inner[i, l] += np.sum(
-                        dts * np.conj(self.vals[i][lo:hi]) * self.vals[l][lo:hi]
-                    )
+            other_qs = self._block_qs(lo, hi)
+            base_inner = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
+            vj_cur = self.vals[j, lo:hi].copy()
+            # Column j of the Gram exponent is col_rest + sum_p dt conj(g_i) beta
+            # over the block, where row j of `weights` is the candidate's own.
+            weights = dts * np.conj(self.vals[:, lo:hi])
+            col_rest = base_inner[:, j] - np.einsum("ipc,pc->i", weights, vj_cur)
+            row_j = self.rows[j]
+            suffix_j = self.suffix[j, hi]
 
-            vj_cur = self.vals[j][lo:hi].copy()
-            suffix_j = self.suffix[j][hi]
-
-            def objective(x, j=j):
+            def objective(x):
                 self.nfev += 1
-                bv = (x[:nb * self.m] + 1j * x[nb * self.m:]).reshape(nb, self.m)
+                bv = (x[:k] + 1j * x[k:]).reshape(nb, self.m)
+                weights[j] = dts * np.conj(bv)
+                col = col_rest + np.einsum("ipc,pc->i", weights, bv)
                 kappa_in = base_inner.copy()
-                for i in range(self.L):
-                    if i == j:
-                        continue
-                    delta = np.sum(dts * np.conj(self.vals[i][lo:hi]) * (bv - vj_cur))
-                    kappa_in[i, j] += delta
-                    kappa_in[j, i] += np.conj(delta)
-                kappa_in[j, j] += np.sum(
-                    dts * (np.abs(bv) ** 2 - np.abs(vj_cur) ** 2)
-                )
-                qs = list(other_qs)
-                qs[j] = self._block_row(j, lo, hi, bv) @ suffix_j
+                kappa_in[:, j] = col
+                kappa_in[j] = np.conj(col)
+                qs = other_qs.copy()
+                qs[j] = self._chain_row(row_j, basis, bv) @ suffix_j
                 with np.errstate(over="ignore"):
                     kappa = np.exp(kappa_in)
-                value, _ = self._horizon_cost(kappa, qs, self.us, solve_u)
+                value, _, failed = _horizon_cost(kappa, qs, self.us, self.support, penalty)
+                self.failed |= failed
                 return value
 
             x0 = np.concatenate([vj_cur.ravel().real, vj_cur.ravel().imag])
@@ -624,31 +596,21 @@ class _BlockOptimizer:
                     "adaptive": True,
                 },
             )
-            bv = (res.x[:nb * self.m] + 1j * res.x[nb * self.m:]).reshape(nb, self.m)
-            self.vals[j][lo:hi] = bv
+            self.vals[j, lo:hi] = (res.x[:k] + 1j * res.x[k:]).reshape(nb, self.m)
 
         # Re-solve the system vectors with every block at its current value.
-        qs = [
-            self._block_row(i, lo, hi, self.vals[i][lo:hi]) @ self.suffix[i][hi]
-            for i in range(self.L)
-        ]
-        kappa_in = self.g_inner + self.tail_gram[hi]
-        for i in range(self.L):
-            for l in range(self.L):
-                kappa_in[i, l] += np.sum(
-                    dts * np.conj(self.vals[i][lo:hi]) * self.vals[l][lo:hi]
-                )
-        _, self.us = self._horizon_cost(np.exp(kappa_in), qs, self.us, solve_u)
+        kappa_in = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
+        _, self.us, failed = _horizon_cost(
+            np.exp(kappa_in), self._block_qs(lo, hi), self.us, self.support, penalty
+        )
+        self.failed |= failed
 
     def _commit_block(self, lo, hi):
-        dts = self.dts[lo:hi]
         for i in range(self.L):
-            self.rows[i] = self._block_row(i, lo, hi, self.vals[i][lo:hi])
-            for l in range(self.L):
-                self.g_inner[i, l] += np.sum(
-                    dts[:, None] * np.conj(self.vals[i][lo:hi]) * self.vals[l][lo:hi]
-                )
-        self.committed = hi
+            self.rows[i] = self._chain_row(
+                self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi]
+            )
+        self.g_inner = self.g_inner + self._gram(lo, hi)
 
     def run(self):
         bs = self.schedule.block_size
@@ -658,7 +620,7 @@ class _BlockOptimizer:
             self._sweep_block(lo, hi)
             self._commit_block(lo, hi)
         terms = [
-            (self.us[i], SimpleFunction(self.breakpoints, self.vals[i]))
+            (self.us[i], SimpleFunction(self.breakpoints, self.vals[i].copy()))
             for i in range(self.L)
         ]
         return ApproxState(terms), self.nfev
@@ -669,10 +631,10 @@ def optimize(model: SlhModel, psi, initial: ApproxState,
     """Minimize cost(model, psi, .) starting from `initial`.
 
     Derivative-free simplex search over the real and imaginary parts of every
-    free amplitude value, with system vectors solved exactly per candidate
-    (schedule.optimize_u) or held at their initial values. Never returns a
-    state worse than `initial`; a non-finite cost encountered during the
-    search sets `search_failure` and the best finite iterate is returned.
+    free amplitude value, with system vectors solved exactly per candidate.
+    Never returns a state worse than `initial`; a non-finite cost encountered
+    during the search sets `search_failure` and the best finite iterate is
+    returned.
     """
     schedule = schedule or OptimizeSchedule()
     initial_cost = cost(model, psi, initial)

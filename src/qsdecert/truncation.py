@@ -46,17 +46,33 @@ __all__ = [
 
 CSV_HEADER = "k,r,s,t,z_sum,residual,mismatch,bound"
 
-_C_CACHE = [1.0]
+
+def _c_table() -> tuple[float, ...]:
+    """c_0, c_1, ... of the recursion up to where it stops changing.
+
+    From j = 54 on, 2^j / (2^j - 1) rounds to 1.0, so c_j = sqrt(c_{j-1})
+    depends on c_{j-1} alone: once two successive values agree, every later
+    value equals them.
+    """
+    cs = [1.0]
+    j = 1
+    while j <= 54 or cs[-1] != cs[-2]:
+        cs.append(math.sqrt(cs[-1] * 2**j / (2**j - 1)))
+        j += 1
+    return tuple(cs)
+
+
+# Built once at import and never mutated, so threads may share it.
+_C_TABLE = _c_table()
 
 
 def c_sequence(n: int) -> list[float]:
     """c_0 .. c_{n-1} with c_0 = 1, c_j = sqrt(c_{j-1} 2^j / (2^j - 1))."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    while len(_C_CACHE) < n:
-        j = len(_C_CACHE)
-        _C_CACHE.append(math.sqrt(_C_CACHE[-1] * 2**j / (2**j - 1)))
-    return _C_CACHE[:n]
+    if n > len(_C_TABLE):
+        return list(_C_TABLE) + [_C_TABLE[-1]] * (n - len(_C_TABLE))
+    return list(_C_TABLE[:n])
 
 
 @dataclass(frozen=True)

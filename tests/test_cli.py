@@ -153,6 +153,28 @@ def test_bound_corrupt_model_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bound_nonfinite_model_file(tmp_path, capsys):
+    # json writes NaN and Infinity tokens and reads them back as floats.
+    for bad in (float("nan"), float("inf")):
+        data = model_to_json(kerr_cavity(25.0, 50.0, -5.0 / 6.0, 3))
+        data["H"][1][1][0] = bad
+        mfile = tmp_path / "nonfinite.json"
+        mfile.write_text(json.dumps(data))
+        rc = main(["bound", "--model", str(mfile), "--partition", "0,1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bound_bad_partition_exits_cleanly(tmp_path, capsys):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"gamma": 1.0, "qL": 1.0, "qa": 1.0, "qe": 1.0}))
+    for partition in ("0,abc", "0", "0,nan", "0,1,inf"):
+        rc = main(["bound", "--constants", str(cfile), "--partition", partition])
+        assert rc == 1, partition
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--partition" in err, partition
+
+
 def test_bound_malformed_input_files_exit_cleanly(tmp_path, capsys):
     # Wrong key name in a constants file, a non-JSON file, and a missing
     # path must all land on the single-line "error:" path, never a traceback.

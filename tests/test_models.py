@@ -85,6 +85,15 @@ def test_slh_model_validation():
     # non-square Hamiltonian
     with pytest.raises(InvalidDimensionError):
         SlhModel("bad", ((eye,),), (a,), np.zeros((2, 3)))
+    # non-finite entries in any operator
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameterError):
+            SlhModel("bad", ((eye,),), (a,), np.diag([0.0, bad]))
+        with pytest.raises(InvalidParameterError):
+            SlhModel("bad", ((eye,),), (np.array([[0.0, bad], [0.0, 0.0]]),),
+                     np.zeros((2, 2)))
+        with pytest.raises(InvalidParameterError):
+            SlhModel("bad", ((np.diag([1.0, bad]),),), (a,), np.zeros((2, 2)))
 
 
 def test_truncate_matches_direct_construction():
@@ -134,6 +143,15 @@ def test_model_json_round_trip():
     for lj, lk in zip(back.L, m.L):
         np.testing.assert_array_equal(lj, lk)
     np.testing.assert_array_equal(back.S[0][0], m.S[0][0])
+
+
+def test_model_json_rejects_nonfinite_entries():
+    for key in ("H", "L"):
+        data = model_to_json(kerr_cavity(LAM, DELTA, CHI, 2))
+        target = data["H"] if key == "H" else data["L"][0]
+        target[0][1][1] = float("nan")
+        with pytest.raises(InvalidParameterError):
+            model_from_json(data)
 
 
 def test_model_json_rejects_corrupt_dim():

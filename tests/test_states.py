@@ -1,10 +1,13 @@
 """Exponential-vector states, the residual cost, and its optimizers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdecert import (
     ApproxState,
@@ -140,6 +143,100 @@ def test_expm2_matches_dense_expm():
         np.array([[1.0, 1.0], [0.0, 1.0]]),
         atol=1e-15,
     )
+
+
+def _kron_solve_reference(kappa, b, s, us, ws, qs, penalty):
+    """The coefficient solve written out on the (L s)-square system kappa (x) I_s."""
+    L = len(us)
+    solved = [u.copy() for u in us]
+    for u in solved:
+        u[:s] = 0.0
+    c0 = 1.0
+    for j in range(L):
+        for l in range(L):
+            c0 += (kappa[j, l] * np.vdot(solved[j], solved[l])).real
+        c0 -= 2.0 * ws[j] * (qs[j] @ solved[j]).real
+    M = np.kron(kappa, np.eye(s))
+    v = np.conj(b).reshape(L * s)
+    if penalty > 0.0:
+        damped = M + penalty * np.diag(np.repeat(np.diag(kappa).real, s))
+        c = np.linalg.lstsq(damped, v, rcond=None)[0]
+        value = c0 - 2.0 * np.vdot(v, c).real + np.vdot(c, M @ c).real
+    else:
+        c = np.linalg.lstsq(M, v, rcond=None)[0]
+        value = c0 - np.vdot(v, c).real
+    for j in range(L):
+        solved[j][:s] = c[j * s:(j + 1) * s]
+    return math.sqrt(max(value, 0.0)), solved
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    L=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    data=st.data(),
+    penalty=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_coefficients_matches_kronecker_solve(L, dim, data, penalty, seed):
+    s = data.draw(st.integers(1, dim), label="support")
+    rng = np.random.default_rng(seed)
+    g = 0.6 * (rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)))
+    kappa = np.exp(g.conj() @ g.T)
+    # Overlaps kappa @ Y with Y^dag kappa Y = 1/2 make the data a true squared
+    # residual whose minimum over all u is 1/2, so the cost stays near 0.7
+    # however the frozen tails (s < dim) sit.
+    Y = rng.normal(size=(L, dim)) + 1j * rng.normal(size=(L, dim))
+    Y *= math.sqrt(0.5 / np.sum(np.conj(Y) * (kappa @ Y)).real)
+    ws = np.sqrt(np.diag(kappa).real)
+    qs = np.conj(kappa @ Y) / ws[:, None]
+    b = ws[:, None] * qs[:, :s]
+    us = list(rng.normal(size=(L, dim)) + 1j * rng.normal(size=(L, dim)))
+
+    value, solved = _solve_coefficients(kappa, b, s, us, ws, qs, penalty)
+    ref_value, ref_solved = _kron_solve_reference(kappa, b, s, us, ws, qs, penalty)
+    assert ref_value >= 0.7
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+    ref = np.array(ref_solved)
+    assert np.abs(np.array(solved) - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    # the frozen tails come back unchanged
+    np.testing.assert_array_equal(np.array(solved)[:, s:], np.array(us)[:, s:])
+
+
+def _degenerate_2x2(rng, kind):
+    """A 2x2 matrix mu I + N with N nilpotent, or within ~1e-8 of it."""
+    mu, x, y = rng.normal(size=3) + 1j * rng.normal(size=3)
+    N = np.array([[x, y], [-x * x / y, -x]])
+    if kind == "near":
+        N[1, 0] += 1e-14 * (rng.normal() + 1j * rng.normal())
+    return mu * np.eye(2) + N
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    kinds=st.lists(st.sampled_from(["generic", "nilpotent", "near"]),
+                   min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expm2_stack_matches_per_matrix_and_scipy(kinds, seed):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for kind in kinds:
+        if kind == "generic":
+            scale = 10.0 ** rng.uniform(-3, 1)
+            mats.append(scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))))
+        else:
+            mats.append(_degenerate_2x2(rng, kind))
+    stack = np.array(mats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _expm2(stack)
+        single = np.array([_expm2(M) for M in mats])
+    assert out.shape == stack.shape
+    np.testing.assert_allclose(out, single, rtol=1e-14, atol=0.0)
+    for M, E in zip(mats, out):
+        ref = sla.expm(M)
+        assert np.abs(E - ref).max() <= 1e-11 * max(np.abs(ref).max(), 1.0)
 
 
 def test_solve_coefficients_exact_and_damped():

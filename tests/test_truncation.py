@@ -1,6 +1,9 @@
 """Interval rate bounds, certificate assembly, and the Kerr benchmark table."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -48,6 +51,35 @@ def test_c_sequence_values_and_recursion():
         )
     with pytest.raises(InvalidParameterError):
         c_sequence(0)
+
+
+def test_c_sequence_matches_recursion_across_threads():
+    # The recursion itself overflows (float * 2**1024) past n = 1024.
+    ref = [1.0]
+    for j in range(1, 1024):
+        ref.append(math.sqrt(ref[-1] * 2**j / (2**j - 1)))
+    # Long sequences first, so that the threads would grow a shared cache at
+    # once; each call waits until four threads are ready (more than cores),
+    # and the interpreter switches threads as often as it can.
+    ns = [1024, 1000, 900, 800] + [1, 2, 3, 7, 54, 55, 60, 120, 500, 1024] * 8
+    start = threading.Barrier(4, timeout=60)
+
+    def call(n):
+        start.wait()
+        return c_sequence(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(call, ns, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for n, cs in zip(ns, results):
+        assert cs == ref[:n]
+    # Calls return fresh lists: mutating one leaves the next call intact.
+    c_sequence(3)[0] = 99.0
+    assert c_sequence(3) == ref[:3]
 
 
 def test_bound_constants_validation():
