@@ -166,25 +166,27 @@ def _load_json(path):
         raise InvalidParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_constants(path) -> list[BoundConstants]:
+RATE_KEYS = ("gamma", "qL", "qa", "qe")
+
+
+def _load_constants(path):
+    """(4, n) float columns gamma, qL, qa, qe of a constants file, and the
+    first entry's level k (or None). Validation is BoundConstants'."""
     data = _load_json(path)
     if isinstance(data, dict):
         data = [data]
     try:
-        return [
-            BoundConstants(
-                gamma=entry["gamma"],
-                qL=entry["qL"],
-                qa=entry["qa"],
-                qe=entry["qe"],
-                k=entry.get("k"),
-            )
-            for entry in data
-        ]
-    except (KeyError, TypeError) as exc:
+        rates = np.array([[entry[key] for entry in data] for key in RATE_KEYS])
+        k = data[0].get("k") if data else None
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(
             f"{path}: each entry needs numeric gamma, qL, qa, qe (got {exc})"
         ) from exc
+    if rates.ndim != 2 or rates.dtype.kind not in "biuf":
+        raise InvalidParameterError(
+            f"{path}: each entry needs numeric gamma, qL, qa, qe"
+        )
+    return rates.astype(float), k
 
 
 def _parse_partition(text: str) -> list[float]:
@@ -223,9 +225,10 @@ def cmd_bound(parser, args) -> int:
     partition = _parse_partition(args.partition)
     n_intervals = len(partition) - 1
     if args.constants is not None:
-        consts = _load_constants(args.constants)
-        if len(consts) == 1:
-            consts = consts * n_intervals
+        rates, k = _load_constants(args.constants)
+        if rates.shape[1] == 1:
+            rates = np.repeat(rates, n_intervals, axis=1)
+        consts = BoundConstants(*rates, k=k)
     elif args.model is not None:
         model = model_from_json(_load_json(args.model))
         try:
@@ -235,12 +238,14 @@ def cmd_bound(parser, args) -> int:
                 f"--amplitudes must be two comma-separated complex numbers, "
                 f"got {args.amplitudes!r}"
             ) from exc
-        consts = [constants_for(model, alpha, beta)] * n_intervals
+        c = constants_for(model, alpha, beta)
+        k = c.k
+        consts = [c] * n_intervals
     else:
         parser.error("need --model or --constants")
     z_sum = interval_sum(consts, partition, args.r, args.s)
     report = CertificateReport(
-        k=consts[0].k or 0,
+        k=k or 0,
         r=args.r,
         s=args.s,
         t=partition[-1],

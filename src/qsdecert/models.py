@@ -276,10 +276,18 @@ def encode_matrix(a: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
+def _decode_entry(x) -> complex:
+    """One [re, im] pair of a JSON matrix or vector."""
+    if not (isinstance(x, (list, tuple)) and len(x) == 2):
+        raise InvalidParameterError(f"entries must be [re, im] pairs, got {x!r}")
+    try:
+        return complex(x[0], x[1])
+    except TypeError as exc:
+        raise InvalidParameterError(f"entries must be numeric pairs, got {x!r}") from exc
+
+
 def decode_matrix(data) -> np.ndarray:
-    a = np.array(
-        [[complex(x[0], x[1]) for x in row] for row in data], dtype=complex
-    )
+    a = np.array([[_decode_entry(x) for x in row] for row in data], dtype=complex)
     if not np.isfinite(a).all():
         raise InvalidParameterError("matrix entries must be finite")
     return a
@@ -290,7 +298,7 @@ def encode_vector(v: np.ndarray):
 
 
 def decode_vector(data) -> np.ndarray:
-    return np.array([complex(x[0], x[1]) for x in data], dtype=complex)
+    return np.array([_decode_entry(x) for x in data], dtype=complex)
 
 
 def model_to_json(model: SlhModel) -> dict:
@@ -308,10 +316,20 @@ def model_to_json(model: SlhModel) -> dict:
 
 
 def model_from_json(data: dict) -> SlhModel:
-    m = int(data["m"])
-    S = [[decode_matrix(data["S"][j][i]) for i in range(m)] for j in range(m)]
-    L = [decode_matrix(Lj) for Lj in data["L"]]
-    H = decode_matrix(data["H"])
+    try:
+        m = int(data["m"])
+        S = [[decode_matrix(data["S"][j][i]) for i in range(m)] for j in range(m)]
+        L = [decode_matrix(Lj) for Lj in data["L"]]
+        H = decode_matrix(data["H"])
+        dim = int(data["dim"])
+        if len(L) != m:
+            raise InvalidParameterError(
+                f"model JSON declares m = {m} channels but has {len(L)} L entries"
+            )
+    except KeyError as exc:
+        raise InvalidParameterError(f"model JSON lacks the key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"malformed model JSON: {exc}") from exc
     model = SlhModel(
         label=data.get("label", "model"),
         S=S,
@@ -320,6 +338,6 @@ def model_from_json(data: dict) -> SlhModel:
         factor_dims=data.get("factor_dims"),
         params=data.get("params", {}),
     )
-    if model.dim != int(data["dim"]):
+    if model.dim != dim:
         raise InvalidDimensionError("declared dim does not match operators")
     return model

@@ -94,7 +94,7 @@ def rate_sweep():
         )
         r = int(rng.integers(1, 4))
         s = int(rng.integers(1, 4))
-        vals = np.array([z_bound(c, r, s, float(t)) for t in SWEEP_GRID])
+        vals = z_bound(c, r, s, SWEEP_GRID)
         if (vals < 0.0).any():
             negatives += 1
         step = float(np.diff(vals).min())
@@ -107,10 +107,7 @@ def rate_sweep():
         if (vals < part * (1.0 - ROUNDING)).any():
             below_part += 1
         t_late = TRANSIENT_DECAYS * 2.0 ** (max(r, s) - 1) / c.gamma
-        late = np.array([
-            z_bound(c, r, s, float(t))
-            for t in np.linspace(t_late, 2.0 * t_late, LATE_GRID_POINTS)
-        ])
+        late = z_bound(c, r, s, np.linspace(t_late, 2.0 * t_late, LATE_GRID_POINTS))
         residue = abs(late[0] - float(monotone_part(c, r, s, t_late)))
         if residue > ROUNDING * late[0] or (np.diff(late) <= 0.0).any():
             transient_left += 1

@@ -192,6 +192,74 @@ def test_bound_malformed_input_files_exit_cleanly(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bound_with_per_interval_constants_file(tmp_path, capsys):
+    consts = [kerr_constants(19, 0.1, beta, 25.0) for beta in (0.1, 0.2, 0.05j)]
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(
+        [{"gamma": c.gamma, "qL": c.qL, "qa": c.qa, "qe": c.qe, "k": 19} for c in consts]
+    ))
+    out = tmp_path / "z.json"
+    assert main(["bound", "--constants", str(cfile), "--partition", "0,0.5,2,5",
+                 "--r", "3", "--s", "1", "--out", str(out)]) == 0
+    payload = json.loads(_read(out))
+    assert payload["z_sum"] == interval_sum(consts, [0.0, 0.5, 2.0, 5.0], 3, 1)
+    assert payload["k"] == 19
+    # Three constant sets for two intervals.
+    rc = main(["bound", "--constants", str(cfile), "--partition", "0,1,2"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bound_invalid_rates_exit_cleanly(tmp_path, capsys):
+    good = {"gamma": 1.0, "qL": 1.0, "qa": 1.0, "qe": 1.0}
+    cfile = tmp_path / "c.json"
+    for bad, message in (({"gamma": 0.0}, "gamma"), ({"gamma": -2.0}, "gamma"),
+                         ({"qa": -1.0}, "qa"), ({"qe": "1.0"}, "numeric"),
+                         ({"qL": None}, "numeric"), ({"qL": [1.0]}, "numeric")):
+        cfile.write_text(json.dumps([good, {**good, **bad}]))
+        rc = main(["bound", "--constants", str(cfile), "--partition", "0,1,2"])
+        assert rc == 1, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, bad
+
+
+def test_bound_orders_beyond_float_range_exit_cleanly(tmp_path, capsys):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"gamma": 1.0, "qL": 1.0, "qa": 1.0, "qe": 1.0}))
+    for orders in (["--r", "1100"], ["--r", "600", "--s", "600"]):
+        rc = main(["bound", "--constants", str(cfile), "--partition", "0,1"] + orders)
+        assert rc == 1, orders
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "orders" in err, orders
+
+
+def test_bound_nonfinite_certificate_is_an_error(tmp_path, capsys):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"gamma": 1e-300, "qL": 1, "qa": 1, "qe": 1}))
+    rc = main(["bound", "--constants", str(cfile), "--partition", "0,1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_bound_malformed_model_file_exits_cleanly(tmp_path, capsys):
+    good = model_to_json(kerr_cavity(25.0, 50.0, -5.0 / 6.0, 3))
+    no_m = {k: v for k, v in good.items() if k != "m"}
+    no_l = {k: v for k, v in good.items() if k != "L"}
+    short_entry = json.loads(json.dumps(good))
+    short_entry["H"][0][0] = [0.0]
+    text_entry = json.loads(json.dumps(good))
+    text_entry["L"][0][1][0] = ["x", 0.0]
+    extra_l = dict(good, L=good["L"] * 2)  # m = 1 with two coupling operators
+    mfile = tmp_path / "m.json"
+    for data in (no_m, no_l, short_entry, text_entry, extra_l, [1, 2]):
+        mfile.write_text(json.dumps(data))
+        rc = main(["bound", "--model", str(mfile), "--partition", "0,1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_bound_bad_amplitudes_exit_cleanly(tmp_path, capsys):
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps(model_to_json(kerr_cavity(25.0, 50.0, -5.0 / 6.0, 3))))

@@ -159,3 +159,24 @@ def test_model_json_rejects_corrupt_dim():
     data["dim"] = 7
     with pytest.raises(InvalidDimensionError):
         model_from_json(data)
+
+
+def test_model_json_rejects_missing_keys_and_bad_entries():
+    good = model_to_json(kerr_cavity(LAM, DELTA, CHI, 2))
+    for key in ("m", "S", "L", "H", "dim"):
+        data = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(InvalidParameterError, match=key):
+            model_from_json(data)
+    for entry in ([0.0], [0.0, 1.0, 2.0], 0.5, [None, 0.0]):
+        data = model_to_json(kerr_cavity(LAM, DELTA, CHI, 2))
+        data["H"][1][0] = entry
+        with pytest.raises(InvalidParameterError):
+            model_from_json(data)
+    data = model_to_json(kerr_cavity(LAM, DELTA, CHI, 2))
+    data["m"] = 2  # S has one row of blocks
+    with pytest.raises(InvalidParameterError):
+        model_from_json(data)
+    data = model_to_json(kerr_cavity(LAM, DELTA, CHI, 2))
+    data["L"] = data["L"] * 2  # two coupling operators for one channel
+    with pytest.raises(InvalidParameterError, match="channels"):
+        model_from_json(data)

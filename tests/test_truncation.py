@@ -7,16 +7,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdecert import (
     CSV_HEADER,
+    ApproxState,
     BoundConstants,
     DegenerateRateError,
     InvalidParameterError,
     NormalizationError,
+    NumericError,
     PartitionError,
     SimpleFunction,
+    SlhModel,
     UnsupportedModelError,
+    annihilation,
     atom_cavity,
     atom_cavity_constants,
     c_sequence,
@@ -30,8 +36,77 @@ from qsdecert import (
     theorem_bound,
     z_bound,
 )
+from qsdecert.truncation import MAX_ORDER_SUM
 
 KERR19 = kerr_constants(19, 0.1, 0.1, 25.0)
+
+
+def _z_reference(gamma, qL, qa, qe, r, s, t):
+    """z_bound for one interval, written as the scalar loop over the five
+    pieces: the reference for the array kernel. It takes numpy's exp and
+    expm1, which round as the kernel's do, so both sides lose the same digits
+    to the cancellation in e^{-a_i t} - e^{-a_j t} on short intervals."""
+    if t == 0.0 or qL == 0.0:
+        return 0.0
+    g = gamma
+    E = qe / g
+    A = qa / g
+    cs = c_sequence(max(r, s))
+
+    total = t * E ** (1.0 - 2.0**-r) * A ** (1.0 - 2.0**-s)
+    for i in range(r):
+        total += (
+            (2**i * cs[i] / g)
+            * -np.expm1(-(2.0**-i) * g * t)
+            * E ** (1.0 - 2.0**-i)
+            * A ** (1.0 - 2.0**-s)
+        )
+    for i in range(s):
+        total += (
+            (2**i * cs[i] / g)
+            * -np.expm1(-(2.0**-i) * g * t)
+            * A ** (1.0 - 2.0**-i)
+            * E ** (1.0 - 2.0**-r)
+        )
+    for i in range(r):
+        ei = np.exp(-(2.0**-i) * g * t)
+        for j in range(s):
+            if j == i:
+                continue
+            total += (
+                cs[i] * cs[j] * 2 ** (i + j) / ((2**i - 2**j) * g)
+                * (ei - np.exp(-(2.0**-j) * g * t))
+                * E ** (1.0 - 2.0**-i)
+                * A ** (1.0 - 2.0**-j)
+            )
+    for i in range(min(r, s)):
+        total += (
+            t * cs[i] ** 2
+            * np.exp(-(2.0**-i) * g * t)
+            * (E * A) ** (1.0 - 2.0**-i)
+        )
+    return float(qL * total)
+
+
+GAMMAS = st.floats(-1.0, 3.0).map(lambda u: 10.0**u)
+QS = st.floats(0.0, 5.0)
+TIMES = st.floats(0.0, 2.0)
+ORDERS = st.integers(1, 3)
+
+
+@st.composite
+def rate_inputs(draw):
+    """(constants, t, r, s) with each rate and t a scalar or a column of one
+    shared length."""
+    n = draw(st.integers(1, 6))
+
+    def column(values):
+        if draw(st.booleans()):
+            return draw(values)
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    c = BoundConstants(column(GAMMAS), column(QS), column(QS), column(QS))
+    return c, column(TIMES), draw(ORDERS), draw(ORDERS)
 
 
 def test_c_sequence_values_and_recursion():
@@ -89,6 +164,14 @@ def test_bound_constants_validation():
         BoundConstants(gamma=1.0, qL=-0.1, qa=1.0, qe=1.0)
     with pytest.raises(InvalidParameterError):
         BoundConstants(gamma=1.0, qL=1.0, qa=np.inf, qe=1.0)
+    # Columns are checked entry by entry with the same rules.
+    ones = np.ones(3)
+    with pytest.raises(DegenerateRateError):
+        BoundConstants(gamma=np.array([1.0, 0.0, 1.0]), qL=ones, qa=ones, qe=ones)
+    with pytest.raises(DegenerateRateError):
+        BoundConstants(gamma=np.array([1.0, np.nan, 1.0]), qL=ones, qa=ones, qe=ones)
+    with pytest.raises(InvalidParameterError):
+        BoundConstants(gamma=ones, qL=ones, qa=ones, qe=np.array([1.0, -1e-9, 1.0]))
 
 
 def test_kerr_constants_anchor():
@@ -172,6 +255,109 @@ def test_z_bound_not_monotone_in_time():
     assert hi < lo
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rate_inputs())
+def test_z_bound_array_matches_scalar_reference(inputs):
+    c, t, r, s = inputs
+    z = z_bound(c, r, s, t)
+    cols = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                 for v in (c.gamma, c.qL, c.qa, c.qe, t)))
+    ref = np.array([_z_reference(g, qL, qa, qe, r, s, dt)
+                    for g, qL, qa, qe, dt in zip(*(v.ravel() for v in cols))])
+    if cols[0].ndim == 0:
+        assert type(z) is float
+    else:
+        assert z.shape == cols[0].shape
+    np.testing.assert_allclose(np.ravel(z), ref, rtol=1e-13, atol=0.0)
+    assert (np.asarray(z) >= 0.0).all()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rate_inputs())
+def test_z_bound_exact_zeros(inputs):
+    c, t, r, s = inputs
+    assert (np.asarray(z_bound(c, r, s, np.zeros_like(t))) == 0.0).all()
+    silent = BoundConstants(c.gamma, np.zeros_like(c.qL), c.qa, c.qe)
+    assert (np.asarray(z_bound(silent, r, s, t)) == 0.0).all()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 12),
+    r=ORDERS,
+    s=ORDERS,
+    data=st.data(),
+)
+def test_interval_sum_matches_summed_reference(n, r, s, data):
+    consts = [
+        BoundConstants(data.draw(GAMMAS), data.draw(QS), data.draw(QS), data.draw(QS))
+        for _ in range(n)
+    ]
+    dts = data.draw(st.lists(TIMES, min_size=n, max_size=n))
+    partition = np.concatenate([[0.0], np.cumsum(dts)])
+    ref = sum(_z_reference(c.gamma, c.qL, c.qa, c.qe, r, s, float(dt))
+              for c, dt in zip(consts, np.diff(partition)))
+    assert interval_sum(consts, partition, r, s) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_z_bound_rejects_orders_beyond_float_range():
+    # 2**1099 and 2**(i + j) for i + j up to 1198 are no doubles.
+    for r, s in ((1100, 2), (2, 1100), (600, 600)):
+        with pytest.raises(InvalidParameterError):
+            z_bound(KERR19, r, s, 1.0)
+    # The largest admitted orders still give a finite bound, for small gamma
+    # too, where 2^i c_i / gamma would overflow.
+    z = z_bound(KERR19, MAX_ORDER_SUM - 1, 1, 1.0)
+    assert math.isfinite(z) and z > 0.0
+    for gamma in (0.1, 1e-3):
+        c = BoundConstants(gamma=gamma, qL=1.0, qa=1.0, qe=1.0)
+        for r, s in ((MAX_ORDER_SUM - 1, 1), (1, MAX_ORDER_SUM - 1), (513, 512)):
+            z = z_bound(c, r, s, np.array([1e-3, 1.0, 10.0]))
+            assert np.isfinite(z).all() and (z > 0.0).all()
+
+
+def test_nonfinite_bounds_raise_numeric_error():
+    huge = BoundConstants(gamma=1e-300, qL=1.0, qa=1.0, qe=1.0)
+    with pytest.raises(NumericError):
+        z_bound(huge, 2, 2, 1.0)
+    with pytest.raises(NumericError):
+        interval_sum([huge], [0.0, 1.0], 2, 2)
+    # Each interval's z is finite, but their sum overflows.
+    unit = z_bound(BoundConstants(gamma=1.0, qL=1.0, qa=1.0, qe=1.0), 1, 1, 1.0)
+    big = BoundConstants(gamma=1.0, qL=1.5e308 / unit, qa=1.0, qe=1.0)
+    assert math.isfinite(z_bound(big, 1, 1, 1.0))
+    with pytest.raises(NumericError):
+        interval_sum([big, big], [0.0, 1.0, 2.0], 1, 1)
+
+
+def test_theorem_bound_rejects_nonfinite_certificate():
+    # exp(||g||^2 / 2) overflows, so the weight and z_sum are infinite.
+    m = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 3)
+    f = SimpleFunction.constant([0.1], 1.0)
+    u = np.zeros(4, dtype=complex)
+    u[0] = 1.0
+    state = ApproxState([(u, SimpleFunction.constant([40.0], 1.0))])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError):
+            theorem_bound(m, (u, f), state, f, 2, 2, use_unitary_variant=False,
+                          residual=0.0, constants_fn=lambda a, b: KERR19)
+
+
+def test_theorem_bound_rejects_multichannel_models():
+    a = annihilation(3)
+    eye = np.eye(3, dtype=complex)
+    zero = np.zeros((3, 3), dtype=complex)
+    two = SlhModel("two channels", ((eye, zero), (zero, eye)), (a, 0.5 * a),
+                   a.conj().T @ a)
+    f = SimpleFunction.constant([0.1, 0.2], 1.0)
+    u = np.zeros(3, dtype=complex)
+    u[0] = 1.0
+    state = ApproxState([(u, f)])
+    with pytest.raises(UnsupportedModelError):
+        theorem_bound(two, (u, f), state, f, 2, 2,
+                      constants_fn=lambda a, b: KERR19)
+
+
 def test_interval_sum():
     parts = np.array([0.0, 0.5, 2.0, 5.0])
     consts = [KERR19, KERR19, kerr_constants(19, 0.2, 0.1, 25.0)]
@@ -183,6 +369,12 @@ def test_interval_sum():
     assert interval_sum(consts, parts, 2, 2) == pytest.approx(manual, rel=1e-14)
     with pytest.raises(PartitionError):
         interval_sum(consts[:2], parts, 2, 2)
+    # The same constants as per-interval columns of one BoundConstants.
+    columns = BoundConstants(*(np.array([getattr(c, key) for c in consts])
+                               for key in ("gamma", "qL", "qa", "qe")))
+    assert interval_sum(columns, parts, 2, 2) == interval_sum(consts, parts, 2, 2)
+    with pytest.raises(PartitionError):
+        interval_sum(columns, parts[:3], 2, 2)
 
 
 def test_coherent_mismatch():
