@@ -18,6 +18,7 @@ k_scaling column). Exit codes: 0 success, 1 numeric or verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .adiabatic import ae_certificate_table
-from .errors import InvalidParameterError, PartitionError, QsdeCertError
+from .errors import InvalidParameterError, NumericError, PartitionError, QsdeCertError
 from .models import kerr_cavity, model_from_json
 from .operators import basis_state
 from .semigroup import SimpleFunction
@@ -353,11 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        try:
+            return args.func(parser, args)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"linear algebra failed: {exc}") from exc
     except QsdeCertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

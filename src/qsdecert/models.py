@@ -109,7 +109,6 @@ class SlhModel:
         self.H.setflags(write=False)
         # Per-model memoization used by the semigroup module.
         self._generator_cache = {}
-        self._limit_cache = None
 
     def scattering_is_identity(self, tol: float = 1e-14) -> bool:
         eye = np.eye(self.dim, dtype=complex)

@@ -10,6 +10,10 @@ generates a contraction semigroup t -> exp(t G). Matrix elements of the
 two-sided field displacement of the unitary cocycle factor over a common
 partition of piecewise-constant amplitudes as an ordered product of these
 semigroups; see :func:`chain`.
+
+Consecutive intervals with equal amplitudes share one generator, so by the
+semigroup law T(a) T(b) = T(a + b) the product computes one exponential per
+maximal run of them, over the run's length read off the breakpoints.
 """
 
 from __future__ import annotations
@@ -230,6 +234,12 @@ def chain(model: SlhModel, f: SimpleFunction, g: SimpleFunction, u) -> np.ndarra
 
     i.e. the final interval's semigroup acts on u first. The drive f sits on
     the conjugated (bra) side, g on the ket side.
+
+    Each maximal run of consecutive intervals with equal (f, g) rows, from
+    t_a to t_b, is applied as the single factor T^(f(a) g(a))_{t_b - t_a}.
+    The length is the difference of the run's end breakpoints, not a sum of
+    its interval lengths: lengths equal on paper differ in their last bits,
+    and the sum would carry one rounding per interval.
     """
     if f.m != model.m or g.m != model.m:
         raise InvalidAmplitudeError("channel count mismatch with model")
@@ -239,8 +249,11 @@ def chain(model: SlhModel, f: SimpleFunction, g: SimpleFunction, u) -> np.ndarra
         raise InvalidAmplitudeError(
             f"state must have dimension {model.dim}, got {u.shape}"
         )
-    dt = f.durations()
-    for i in range(f.n_intervals - 1, -1, -1):
-        gen = generator(model, f.values[i], g.values[i])
-        u = propagate(gen, float(dt[i])) @ u
+    bp = f.breakpoints
+    rows = np.hstack([f.values, g.values])
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    ends = np.r_[starts[1:], f.n_intervals]
+    for a, b in zip(starts[::-1], ends[::-1]):
+        gen = generator(model, f.values[a], g.values[a])
+        u = propagate(gen, float(bp[b] - bp[a])) @ u
     return u

@@ -270,6 +270,39 @@ def test_bound_bad_amplitudes_exit_cleanly(tmp_path, capsys):
     assert "amplitudes" in capsys.readouterr().err
 
 
+def test_linalg_failure_exits_cleanly(monkeypatch, capsys):
+    import qsdecert.operators
+
+    def broken_expm(a):
+        raise np.linalg.LinAlgError("injected failure")
+
+    monkeypatch.setattr(qsdecert.operators.scipy.linalg, "expm", broken_expm)
+    rc = main(["bound", "--model", "kerr", "--k", "3"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "injected failure" in captured.err
+
+
+def test_main_runs_different_commands_back_to_back(tmp_path):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"gamma": 2.0, "qL": 1.0, "qa": 0.5, "qe": 0.5}))
+    bound_argv = ["bound", "--constants", str(cfile), "--partition", "0,1,2",
+                  "--r", "3", "--format", "json"]
+    table_argv = ["kerr-table", "--k-list", "3", "--format", "json"]
+    outs = []
+    for argv in (bound_argv, table_argv, bound_argv, table_argv):
+        out = tmp_path / f"out{len(outs)}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        outs.append(_read(out))
+    assert outs[0] == outs[2] and outs[1] == outs[3]
+    bound, table = json.loads(outs[0]), json.loads(outs[1])
+    assert (bound["r"], bound["s"]) == (3, 2)
+    assert [(row["k"], row["r"]) for row in table["rows"]] == [(3, 2)]
+    assert table["rows"][0]["bound"] == kerr_table_row(3).bound
+    assert "\n  " in outs[0]  # indented JSON
+
+
 def test_optimize_kerr_deterministic(tmp_path):
     f1, f2 = tmp_path / "r1.json", tmp_path / "r2.json"
     argv = ["optimize", "--model", "kerr", "--k", "2", "--t-final", "0.5",

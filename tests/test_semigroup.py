@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qsdecert.semigroup
 
 from qsdecert import (
     Generator,
@@ -193,3 +197,72 @@ def test_chain_fixes_vacuum_when_undriven():
     u = np.array([1.0, 0.0, 0.0], dtype=complex)
     out = chain(MODEL, f, f, u)
     np.testing.assert_allclose(out, u, atol=1e-13)
+
+
+@st.composite
+def refined_pair(draw):
+    """A one-channel simple function, a finer partition of it, and a g."""
+    n = draw(st.integers(1, 5))
+    t_final = draw(st.floats(0.1, 3.0))
+    inner = draw(st.lists(st.floats(0.01, 0.99), min_size=n - 1, max_size=n - 1))
+    bp = np.unique(np.r_[0.0, t_final * np.array(inner), t_final])
+    part = st.floats(-1.0, 1.0)
+    vals = [complex(draw(part), draw(part)) for _ in range(bp.size - 1)]
+    f = SimpleFunction(bp, np.array(vals)[:, None])
+    g = SimpleFunction(
+        np.array([0.0, 0.5 * t_final, t_final]),
+        np.array([[complex(draw(part), draw(part))] for _ in range(2)]),
+    )
+    # Inner points well away from every breakpoint of f and g, so no
+    # roundoff merge in refine_common can move an original point.
+    extra = t_final * np.array(
+        draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6))
+    )
+    old = np.union1d(bp, g.breakpoints)
+    extra = extra[np.min(np.abs(extra[:, None] - old[None, :]), axis=1) > 1e-6]
+    return f, f.with_breakpoints(np.union1d(bp, extra)), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(refined_pair())
+def test_refinement_preserves_inner_products_and_norms(case):
+    f, fine, g = case
+    assert fine.norm_sq() == pytest.approx(f.norm_sq(), rel=1e-12, abs=1e-15)
+    assert fine.inner(g) == pytest.approx(f.inner(g), rel=1e-12, abs=1e-15)
+    assert g.inner(fine) == pytest.approx(g.inner(f), rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(refined_pair())
+def test_refinement_leaves_chain_unchanged(case):
+    f, fine, g = case
+    u = np.array([0.6, 0.8j, 0.0])
+    np.testing.assert_allclose(
+        chain(MODEL, fine, g, u), chain(MODEL, f, g, u), rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        chain(MODEL, g, fine, u), chain(MODEL, g, f, u), rtol=0, atol=1e-12
+    )
+
+
+def test_chain_computes_one_exponential_per_run(monkeypatch):
+    # A 13-interval drive against a two-valued g: the common partition has
+    # 14 intervals of several float lengths but only two amplitude runs.
+    calls = []
+
+    def counting_matexp(g, t=1.0):
+        calls.append(t)
+        return sla.expm(g * t)
+
+    monkeypatch.setattr(qsdecert.semigroup, "matexp", counting_matexp)
+    model = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 9)
+    f = SimpleFunction(np.linspace(0.0, 5.0, 14), np.full((13, 1), 0.1 + 0j))
+    g = SimpleFunction([0.0, 0.5, 5.0], [[0.0866 + 0.0462j], [0.0882 + 0.0471j]])
+    u = np.eye(10, dtype=complex)[0]
+    out = chain(model, f, g, u)
+    assert sorted(calls) == [0.5, 4.5]
+    g0 = generator(model, f.values[0], g.values[0]).matrix
+    g1 = generator(model, f.values[0], g.values[1]).matrix
+    np.testing.assert_allclose(
+        out, sla.expm(0.5 * g0) @ sla.expm(4.5 * g1) @ u, rtol=0, atol=1e-12
+    )

@@ -28,6 +28,7 @@ from qsdecert import (
     c_sequence,
     coherent_mismatch,
     constants_for,
+    generator,
     interval_sum,
     kerr_cavity,
     kerr_constants,
@@ -434,14 +435,50 @@ def test_report_recombination():
 
 
 def test_kerr_table_row_anchors():
+    # residual: 40-digit value of the k = 19 row from its float inputs
+    # (_mp_kerr_residual); bound = sqrt(4 residual^2 + 2 z_sum) from it.
     r19 = kerr_table_row(19)
-    assert r19.bound == pytest.approx(0.2328439300481592, abs=1e-12)
-    assert r19.residual == pytest.approx(0.009610859289414476, abs=1e-12)
+    assert r19.bound == pytest.approx(0.23284393004903445, abs=1e-12)
+    assert r19.residual == pytest.approx(0.009610859294715573, abs=1e-12)
     assert r19.z_sum == pytest.approx(0.02692341064757418, abs=1e-12)
     assert r19.mismatch == 0.0
     r99 = kerr_table_row(99)
-    assert r99.bound == pytest.approx(0.16128804155638718, abs=1e-12)
+    assert r99.bound == pytest.approx(0.16128804155765072, abs=1e-12)
     assert r99.residual == pytest.approx(r19.residual, abs=1e-15)
+
+
+def _mp_kerr_residual(mp, k, alpha=0.1):
+    """Residual of the Kerr table row at level k in mpmath arithmetic.
+
+    The inputs are the row's floats: the generator matrices, the reference
+    state's breakpoints, amplitudes and system vector. Only the arithmetic
+    on them is exact to the working precision; the drive is constant, so
+    the row's interval count does not enter.
+    """
+    model = kerr_cavity(25.0, 50.0, -50.0 / 60.0, k)
+    ((uj, gj),) = kerr_reference_state(k + 1).terms
+    dts = [mp.mpf(float(b)) - mp.mpf(float(a))
+           for a, b in zip(gj.breakpoints[:-1], gj.breakpoints[1:])]
+    v = mp.matrix([mp.mpc(complex(x)) for x in uj])
+    for i in reversed(range(gj.n_intervals)):
+        G = mp.matrix(generator(model, [alpha], gj.values[i]).matrix.tolist())
+        v = mp.expm(G * dts[i]) * v
+    g_sq = mp.fsum(dt * abs(mp.mpc(complex(val[0])))**2
+                   for dt, val in zip(dts, gj.values))
+    u_sq = mp.fsum(abs(mp.mpc(complex(x)))**2 for x in uj)
+    sq = 1 - 2 * mp.exp(g_sq / 2) * mp.re(v[0]) + u_sq * mp.exp(g_sq)
+    return mp.sqrt(sq)
+
+
+def test_kerr_residual_matches_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = _mp_kerr_residual(mpmath, 9)
+        assert abs(exact - mpmath.mpf("0.00961085929471557")) < 1e-17
+        exact = float(exact)
+    for n in (10, 13, 40):
+        row = kerr_table_row(9, n_intervals=n)
+        assert row.residual == pytest.approx(exact, abs=1e-12), n
 
 
 def test_kerr_reference_state():
