@@ -19,6 +19,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidModelError,
     InvalidParameterError,
+    NumericError,
     PartitionError,
     StructuralModelError,
 )
@@ -340,7 +341,8 @@ def ae_theorem_bound(model: AeModel, psi, psi_prime: ApproxState,
 
     Here the computable propagator is the reduced limit model, so the
     residual chain runs on H0; the reduction error enters through the
-    (2/k)-scaled M sums recorded in the k_scaling column.
+    (2/k)-scaled M sums recorded in the k_scaling column. A residual, z sum
+    or bound that is not finite raises NumericError.
     """
     if model.k is None:
         raise InvalidParameterError("model carries no scaling parameter k")
@@ -368,6 +370,8 @@ def ae_theorem_bound(model: AeModel, psi, psi_prime: ApproxState,
         z_sum += w * sum(zs)
 
     bound = math.sqrt(4.0 * (mismatch + residual) ** 2 + 2.0 * z_sum)
+    if not (math.isfinite(z_sum) and math.isfinite(bound)):
+        raise NumericError(f"certificate is not finite (z_sum={z_sum}, bound={bound})")
     return CertificateReport(
         k=int(model.k),
         r=0,

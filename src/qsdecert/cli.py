@@ -210,6 +210,8 @@ def cmd_bound(parser, args) -> int:
             parser.error("builtin kerr evaluation needs --k")
         if args.k < 1:
             parser.error("truncation level must be >= 1")
+        if args.partition is not None:
+            parser.error("--partition does not apply to builtin kerr evaluation")
         report = kerr_table_row(
             args.k,
             alpha=args.alpha,
@@ -263,14 +265,18 @@ def cmd_bound(parser, args) -> int:
 
 def cmd_optimize(parser, args) -> int:
     if args.model == "kerr":
+        if args.intervals is not None or args.blocks is not None:
+            parser.error("--intervals and --blocks apply to --model ae only")
         result = _kerr_search(args.k or 19, args.alpha, args.t_final, args.seed)
     else:
+        if args.k is not None:
+            parser.error("--k applies to --model kerr only")
         _, result = ae_certificate_table(
             (),
             alpha=args.alpha,
             t_final=args.t_final,
-            n_intervals=args.intervals,
-            blocks=args.blocks,
+            n_intervals=1000 if args.intervals is None else args.intervals,
+            blocks=100 if args.blocks is None else args.blocks,
             seed=args.seed,
         )
     payload = {
@@ -289,10 +295,11 @@ def cmd_verify(parser, args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _add_common(p, *, t_final, intervals, seed_help=None):
+def _add_common(p, *, t_final, intervals, seed_help=None, orders=True):
     p.add_argument("--k", type=int, default=None, help="single level")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--s", type=int, default=2)
+    if orders:
+        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--s", type=int, default=2)
     p.add_argument("--t-final", type=float, default=t_final, dest="t_final")
     p.add_argument("--intervals", type=int, default=intervals)
     p.add_argument("--alpha", type=complex, default=0.1 + 0j)
@@ -308,8 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
         "adiabatically eliminated input-output quantum models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Exact flag names only: a prefix such as --s would otherwise be read as
+    # --seed on the commands that take no --s.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("kerr-table", help="Kerr cavity truncation benchmark")
+    p = add_parser("kerr-table", help="Kerr cavity truncation benchmark")
     _add_common(p, t_final=5.0, intervals=10)
     p.add_argument("--k-list", default=KERR_DEFAULT_KS)
     p.add_argument("--optimize", action="store_true",
@@ -318,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the bundled reference minimizer (default)")
     p.set_defaults(func=cmd_kerr_table)
 
-    p = sub.add_parser("ae-table", help="atom-cavity elimination benchmark")
-    _add_common(p, t_final=1.0, intervals=1000,
+    p = add_parser("ae-table", help="atom-cavity elimination benchmark")
+    _add_common(p, t_final=1.0, intervals=1000, orders=False,
                 seed_help="accepted for symmetry; the block search is "
                 "deterministic and does not use it")
     p.add_argument("--k-list", default=AE_DEFAULT_KS)
@@ -327,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of sequential optimization blocks")
     p.set_defaults(func=cmd_ae_table)
 
-    p = sub.add_parser("bound", help="generic certificate evaluator")
+    p = add_parser("bound", help="generic certificate evaluator")
     _add_common(p, t_final=5.0, intervals=10)
     p.add_argument("--model", default=None,
                    help="'kerr' or a path to a model JSON file")
@@ -339,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'alpha,beta' for model-file evaluation")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("optimize", help="search for an approximant")
-    _add_common(p, t_final=5.0, intervals=1000)
+    p = add_parser("optimize", help="search for an approximant")
+    _add_common(p, t_final=5.0, intervals=None, orders=False)
     p.add_argument("--model", choices=("kerr", "ae"), default="kerr")
-    p.add_argument("--blocks", type=int, default=100)
+    p.add_argument("--blocks", type=int, help="--model ae only (default 100)")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("verify", help="run the oracle cross-check suite")
+    p = add_parser("verify", help="run the oracle cross-check suite")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -34,6 +34,8 @@ __all__ = [
     "SimpleFunction",
     "Generator",
     "generator",
+    "affine_basis",
+    "affine_coefficients",
     "propagate",
     "chain",
     "refine_common",
@@ -204,6 +206,50 @@ def generator(model: SlhModel, alpha, beta) -> Generator:
     gen.matrix.setflags(write=False)
     model._generator_cache[key] = gen
     return gen
+
+
+def affine_basis(model: SlhModel, alphas) -> np.ndarray:
+    """Stack (G0, D_1, ..., D_m, I) per bra amplitude row, shape (P, m+2, d, d).
+
+    G(alpha_p, beta) = G0 + sum_j beta_j D_j - (|beta|^2 / 2) I is the basis
+    contracted with :func:`affine_coefficients`; it equals :func:`generator`,
+    the reference assembly, up to rounding.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    if alphas.ndim != 2 or alphas.shape[1] != model.m:
+        raise InvalidAmplitudeError(
+            f"amplitude rows must have length {model.m}, got shape {alphas.shape}"
+        )
+    m, dim = model.m, model.dim
+    base = -0.5 * sum(adjoint(L) @ L for L in model.L) + 1j * model.H
+    Sd = [[adjoint(model.S[j][i]) for i in range(m)] for j in range(m)]
+    SdL = [[Sd[j][i] @ model.L[j] for i in range(m)] for j in range(m)]
+    Ld = [adjoint(L).astype(complex) for L in model.L]
+    eye = np.eye(dim, dtype=complex)
+    basis = np.empty((len(alphas), m + 2, dim, dim), dtype=complex)
+    basis[:, -1] = eye
+    for p, alpha in enumerate(alphas):
+        G0 = base.copy()
+        for j in range(m):
+            for i in range(m):
+                G0 -= np.conj(alpha[i]) * SdL[j][i]
+        basis[p, 0] = G0 - 0.5 * float(np.vdot(alpha, alpha).real) * eye
+        for j in range(m):
+            Dj = Ld[j]
+            for i in range(m):
+                Dj = Dj + np.conj(alpha[i]) * Sd[j][i]
+            basis[p, 1 + j] = Dj
+    return basis
+
+
+def affine_coefficients(betas) -> np.ndarray:
+    """Rows (1, beta_1, ..., beta_m, -|beta|^2 / 2) for (P, m) ket amplitudes."""
+    betas = np.asarray(betas, dtype=complex)
+    coef = np.empty((len(betas), betas.shape[1] + 2), dtype=complex)
+    coef[:, 0] = 1.0
+    coef[:, 1:-1] = betas
+    coef[:, -1] = -0.5 * np.sum(np.abs(betas) ** 2, axis=1)
+    return coef
 
 
 def propagate(gen: Generator, t: float) -> np.ndarray:

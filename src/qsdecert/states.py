@@ -10,6 +10,10 @@ The search treats only the amplitude values as free simplex parameters: for
 fixed amplitudes the cost is a nonnegative quadratic in the system-vector
 coefficients, so the optimal u_j are recovered exactly from the terms' Gram
 system at every evaluation.
+
+Both searches (joint simplex, block sweep) freeze the drive's dt-scaled
+`semigroup.affine_basis` on a fixed partition and contract it with each
+candidate's amplitude rows; `cost` stays on the reference `chain` path.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import InvalidApproximantError, PartitionError
+from .errors import InvalidApproximantError, NumericError, PartitionError
 from .models import SlhModel, decode_vector, encode_vector
-from .operators import adjoint
-from .semigroup import SimpleFunction, chain, refine_common
+from .semigroup import SimpleFunction, affine_basis, affine_coefficients, chain, refine_common
 
 __all__ = [
     "ApproxState",
@@ -136,6 +139,14 @@ def _overlap_sum(model: SlhModel, u, f: SimpleFunction, state: ApproxState) -> f
     return acc
 
 
+def _residual(norm_sq: float, model: SlhModel, u, f, state: ApproxState) -> float:
+    """sqrt(norm_sq - 2 overlap + ||psi'||^2); NumericError when not finite."""
+    sq = norm_sq - 2.0 * _overlap_sum(model, u, f, state) + approx_norm(state) ** 2
+    if not math.isfinite(sq):
+        raise NumericError(f"squared residual is not finite ({sq})")
+    return math.sqrt(max(sq, 0.0))
+
+
 def residual_norm(model: SlhModel, psi, state: ApproxState) -> float:
     """||U^* (u (x) |f>) - psi'|| evaluated through interval semigroups.
 
@@ -145,22 +156,13 @@ def residual_norm(model: SlhModel, psi, state: ApproxState) -> float:
     """
     u, f = psi
     u = np.asarray(u, dtype=complex)
-    sq = (
-        float(np.vdot(u, u).real)
-        - 2.0 * _overlap_sum(model, u, f, state)
-        + approx_norm(state) ** 2
-    )
-    return math.sqrt(max(sq, 0.0))
+    return _residual(float(np.vdot(u, u).real), model, u, f, state)
 
 
 def cost(model: SlhModel, psi, state: ApproxState) -> float:
     """Residual with the reference state norm fixed at one."""
     u, f = psi
-    u = np.asarray(u, dtype=complex)
-    sq = 1.0 - 2.0 * _overlap_sum(model, u, f, state) + approx_norm(state) ** 2
-    value = math.sqrt(max(sq, 0.0))
-    assert value >= 0.0
-    return value
+    return _residual(1.0, model, np.asarray(u, dtype=complex), f, state)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +232,7 @@ def _expm2(M: np.ndarray) -> np.ndarray:
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
-    if M.shape == (2, 2):
-        return _expm2(M)
+    """Dense exponential of one matrix; 2x2 stacks take _expm2 instead."""
     return scipy.linalg.expm(M)
 
 
@@ -295,84 +296,6 @@ def _horizon_cost(kappa, qs, us, support, penalty):
     return value, solved, False
 
 
-class _CostEngine:
-    """Fast cost evaluation for fixed (model, u, f) and a term template.
-
-    Bypasses the shared semigroup caches: candidates never repeat, so caching
-    them would only grow memory. Generators are assembled as
-    G(beta) = G0 + sum_j beta_j D_j - (|beta|^2 / 2) I with G0, D_j frozen
-    per refined interval.
-    """
-
-    def __init__(self, model: SlhModel, u, f: SimpleFunction, template: ApproxState,
-                 u_support: int | None = None, u_penalty: float = 0.0):
-        self.model = model
-        self.u = np.asarray(u, dtype=complex)
-        self.dim = model.dim
-        self.failed = False
-        self.support = min(u_support or self.dim, self.dim)
-        self.u_penalty = u_penalty
-
-        base = -0.5 * sum(adjoint(L) @ L for L in model.L) + 1j * model.H
-        Sd = [[adjoint(model.S[j][i]) for i in range(model.m)] for j in range(model.m)]
-        eye = np.eye(self.dim, dtype=complex)
-
-        # Per term: refine f against the term's partition once; record for each
-        # refined interval its duration, f-value, frozen alpha-part generator
-        # G0 and the beta coefficient matrices D_j, plus the map back to the
-        # term's own interval index.
-        self.plans = []
-        for _, g in template.terms:
-            fr, gr = refine_common(f, g)
-            dts = fr.durations()
-            idx = np.searchsorted(g.breakpoints, fr.breakpoints[:-1], side="right") - 1
-            pieces = []
-            for p in range(fr.n_intervals):
-                alpha = fr.values[p]
-                G0 = base.copy()
-                for j in range(self.model.m):
-                    for i in range(self.model.m):
-                        G0 -= np.conj(alpha[i]) * (Sd[j][i] @ model.L[j])
-                G0 -= 0.5 * float(np.vdot(alpha, alpha).real) * eye
-                D = []
-                for j in range(self.model.m):
-                    Dj = adjoint(model.L[j]).astype(complex)
-                    for i in range(self.model.m):
-                        Dj = Dj + np.conj(alpha[i]) * Sd[j][i]
-                    D.append(Dj)
-                pieces.append((float(dts[p]), int(idx[p]), G0, D))
-            self.plans.append(pieces)
-
-    def chain_row(self, j: int, gj_values) -> np.ndarray:
-        """u^dag T^(0) ... T^(P-1) for term j with candidate amplitude rows."""
-        row = self.u.conj()
-        eye = np.eye(self.dim, dtype=complex)
-        for dt, gi, G0, D in self.plans[j]:
-            beta = gj_values[gi]
-            G = G0 + sum(beta[c] * D[c] for c in range(self.model.m))
-            G = G - 0.5 * float(np.vdot(beta, beta).real) * eye
-            row = row @ _expm(G * dt)
-        return row
-
-    def evaluate(self, us, vals_list, template):
-        """(cost, u list) at candidate amplitude values, u_j solved exactly."""
-        L = len(vals_list)
-        gs = [
-            SimpleFunction(g.breakpoints, vals)
-            for vals, (_, g) in zip(vals_list, template.terms)
-        ]
-        kappa = np.empty((L, L), dtype=complex)
-        for i in range(L):
-            for l in range(L):
-                kappa[i, l] = exp_inner(gs[i], gs[l])
-        qs = [self.chain_row(j, vals_list[j]) for j in range(L)]
-        value, solved, failed = _horizon_cost(
-            kappa, qs, us, self.support, self.u_penalty
-        )
-        self.failed |= failed
-        return value, solved
-
-
 def _pack_values(state: ApproxState):
     """Flatten amplitude values to a real vector; return vector + shapes."""
     xs = []
@@ -395,15 +318,67 @@ def _unpack_values(x, shapes):
     return vals
 
 
-def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
+def _interval_exps(basis, betas):
+    """exp(dt_p G_p(beta_p)) per interval of a dt-scaled affine basis slice."""
+    G = np.einsum("pk,pkij->pij", affine_coefficients(betas), basis)
+    if G.shape[-1] == 2:
+        return _expm2(G)
+    return [_expm(M) for M in G]
+
+
+def _chain_row(row, basis, betas) -> np.ndarray:
+    """row T^(0) ... T^(P-1) over the intervals of a dt-scaled basis slice."""
+    for T in _interval_exps(basis, betas):
+        row = row @ T
+    return row
+
+
+def _gram(dts, vals) -> np.ndarray:
+    """sum_p dt_p <g_i(p), g_l(p)> for (L, P, m) amplitude values, as (L, L)."""
+    return np.einsum("p,ipc,lpc->il", dts, np.conj(vals), vals)
+
+
+def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedule):
+    """evaluate(vals) -> (cost, solved u list, failed) for per-term amplitude values.
+
+    f and every term's partition are refined once into one common partition,
+    on which the dt-scaled affine basis of f is frozen. Candidates never
+    repeat, so nothing goes through the shared semigroup caches: each term's
+    values reach the common partition through one precomputed interval index.
+    """
     u, f = psi
-    engine = _CostEngine(model, u, f, initial, schedule.u_support,
-                         schedule.u_penalty)
+    common = f
+    for _, g in template.terms:
+        common, _ = refine_common(common, g)
+    bp = common.breakpoints
+    dts = np.diff(bp)
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    index = [np.searchsorted(g.breakpoints, mids, side="right") - 1
+             for _, g in template.terms]
+    basis = affine_basis(model, common.values) * dts[:, None, None, None]
+    row = np.asarray(u, dtype=complex).conj()
+    us = [uj for uj, _ in template.terms]
+    support = min(schedule.u_support or model.dim, model.dim)
+
+    def evaluate(vals):
+        vals = np.array([v[i] for v, i in zip(vals, index)])
+        with np.errstate(over="ignore"):
+            kappa = np.exp(_gram(dts, vals))
+        qs = [_chain_row(row, basis, v) for v in vals]
+        return _horizon_cost(kappa, qs, us, support, schedule.u_penalty)
+
+    return evaluate
+
+
+def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
+    evaluate = _joint_evaluator(model, psi, initial, schedule)
     x0, shapes = _pack_values(initial)
-    us0 = [uj.astype(complex).copy() for uj, _ in initial.terms]
+    failed = False
 
     def objective(x):
-        value, _ = engine.evaluate(us0, _unpack_values(x, shapes), initial)
+        nonlocal failed
+        value, _, bad = evaluate(_unpack_values(x, shapes))
+        failed |= bad
         return value
 
     rng = np.random.default_rng(schedule.seed)
@@ -427,12 +402,12 @@ def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x
     vals = _unpack_values(best_x, shapes)
-    _, us = engine.evaluate(us0, vals, initial)
+    _, us, bad = evaluate(vals)
     terms = [
         (uj, SimpleFunction(g.breakpoints, v))
         for uj, v, (_, g) in zip(us, vals, initial.terms)
     ]
-    return ApproxState(terms, label=initial.label), nfev, engine.failed
+    return ApproxState(terms, label=initial.label), nfev, failed or bad
 
 
 class _BlockOptimizer:
@@ -473,27 +448,8 @@ class _BlockOptimizer:
         # f must be constant per global interval for the fused generator form.
         alphas = self.f.with_breakpoints(self.breakpoints).values
 
-        # dt G(beta) = basis . (1, beta_1, ..., beta_m, -|beta|^2 / 2) with the
-        # basis (G0, D_1, ..., D_m, I) frozen per interval and scaled by dt.
-        base = -0.5 * sum(adjoint(L) @ L for L in model.L) + 1j * model.H
-        Sd = [[adjoint(model.S[j][i]) for i in range(model.m)] for j in range(model.m)]
-        eye = np.eye(model.dim, dtype=complex)
-        self.basis = np.empty((self.P, self.m + 2, model.dim, model.dim), dtype=complex)
-        for p in range(self.P):
-            alpha = alphas[p]
-            G0 = base.copy()
-            for j in range(model.m):
-                for i in range(model.m):
-                    G0 -= np.conj(alpha[i]) * (Sd[j][i] @ model.L[j])
-            G0 -= 0.5 * float(np.vdot(alpha, alpha).real) * eye
-            self.basis[p, 0] = G0
-            for j in range(model.m):
-                Dj = adjoint(model.L[j]).astype(complex)
-                for i in range(model.m):
-                    Dj = Dj + np.conj(alpha[i]) * Sd[j][i]
-                self.basis[p, 1 + j] = Dj
-            self.basis[p, -1] = eye
-        self.basis *= self.dts[:, None, None, None]
+        # dt G(beta) = basis . (1, beta, -|beta|^2 / 2), frozen per interval.
+        self.basis = affine_basis(model, alphas) * self.dts[:, None, None, None]
 
         self.us = [u.astype(complex).copy() for u, _ in initial.terms]
         self.vals = np.array([g.values for _, g in initial.terms], dtype=complex)
@@ -511,7 +467,7 @@ class _BlockOptimizer:
         eye = np.eye(self.dim, dtype=complex)
         self.suffix = np.empty((self.L, self.P + 1, self.dim, self.dim), dtype=complex)
         for i in range(self.L):
-            Ts = self._block_T(self.basis, self.vals[i])
+            Ts = _interval_exps(self.basis, self.vals[i])
             acc = self.suffix[i, self.P] = eye
             for p in range(self.P - 1, -1, -1):
                 acc = self.suffix[i, p] = Ts[p] @ acc  # T(p) ... T(P-1)
@@ -521,29 +477,12 @@ class _BlockOptimizer:
         self.tail_gram = np.zeros((self.P + 1, self.L, self.L), dtype=complex)
         self.tail_gram[:self.P] = np.cumsum(per_interval[::-1], axis=0)[::-1]
 
-    def _block_T(self, basis, vals) -> np.ndarray:
-        """Stack of exp(dt_p G_p(beta_p)) over the intervals of a basis slice."""
-        coef = np.empty((len(vals), self.m + 2), dtype=complex)
-        coef[:, 0] = 1.0
-        coef[:, 1:-1] = vals
-        coef[:, -1] = -0.5 * np.sum(np.abs(vals) ** 2, axis=1)
-        G = np.einsum("pk,pkij->pij", coef, basis)
-        return _expm2(G) if self.dim == 2 else scipy.linalg.expm(G)
-
-    def _chain_row(self, row, basis, vals) -> np.ndarray:
-        """row T^(lo) ... T^(hi-1) over the intervals of a basis slice."""
-        for T in self._block_T(basis, vals):
-            row = row @ T
-        return row
-
     def _gram(self, lo: int, hi: int) -> np.ndarray:
-        """sum over p in [lo, hi) of dt_p <g_i(p), g_l(p)>, as an (L, L) array."""
-        block = self.vals[:, lo:hi]
-        return np.einsum("p,ipc,lpc->il", self.dts[lo:hi], np.conj(block), block)
+        return _gram(self.dts[lo:hi], self.vals[:, lo:hi])
 
     def _block_qs(self, lo: int, hi: int) -> np.ndarray:
         return np.array([
-            self._chain_row(self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi])
+            _chain_row(self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi])
             @ self.suffix[i, hi]
             for i in range(self.L)
         ])
@@ -577,7 +516,7 @@ class _BlockOptimizer:
                 kappa_in[:, j] = col
                 kappa_in[j] = np.conj(col)
                 qs = other_qs.copy()
-                qs[j] = self._chain_row(row_j, basis, bv) @ suffix_j
+                qs[j] = _chain_row(row_j, basis, bv) @ suffix_j
                 with np.errstate(over="ignore"):
                     kappa = np.exp(kappa_in)
                 value, _, failed = _horizon_cost(kappa, qs, self.us, self.support, penalty)
@@ -607,7 +546,7 @@ class _BlockOptimizer:
 
     def _commit_block(self, lo, hi):
         for i in range(self.L):
-            self.rows[i] = self._chain_row(
+            self.rows[i] = _chain_row(
                 self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi]
             )
         self.g_inner = self.g_inner + self._gram(lo, hi)

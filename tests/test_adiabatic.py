@@ -11,6 +11,7 @@ from qsdecert import (
     InvalidDimensionError,
     InvalidModelError,
     InvalidParameterError,
+    NumericError,
     PartitionError,
     SimpleFunction,
     StructuralModelError,
@@ -226,6 +227,20 @@ def test_ae_theorem_bound_assembly():
     # without a scaling parameter the certificate is undefined
     with pytest.raises(InvalidParameterError):
         ae_theorem_bound(atom_cavity_ae(GAMMA, G_COUP, DRIVE), (u0, f), state, f)
+
+
+@pytest.mark.parametrize("u_scale, amplitude", [
+    (1.0, 40.0),  # the residual's Gram term overflows to nan
+    (1.0, 30.0),  # the residual overflows to inf
+    (1e154, 0.1),  # finite residual, 4 residual^2 overflows the bound
+])
+def test_ae_theorem_bound_rejects_nonfinite_certificate(u_scale, amplitude):
+    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE).with_k(10**4)
+    f = SimpleFunction.constant([DRIVE], 1.0)
+    u0 = np.array([1.0, 0.0], dtype=complex)
+    state = ApproxState([(u_scale * u0, SimpleFunction.constant([amplitude], 1.0))])
+    with pytest.raises(NumericError):
+        ae_theorem_bound(m, (u0, f), state, f)
 
 
 def test_ae_certificate_table_small_run():

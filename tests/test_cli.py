@@ -341,3 +341,17 @@ def test_verify_quick(tmp_path):
     assert set(payload["sections"]) == {
         "matexp_vs_ode", "contraction_and_law", "dominance", "residual_oracle"
     }
+
+
+@pytest.mark.parametrize("argv", [
+    ["ae-table", "--r", "3"],
+    ["optimize", "--model", "ae", "--s", "3"],
+    ["optimize", "--model", "kerr", "--intervals", "20"],
+    ["optimize", "--model", "kerr", "--blocks", "4"],
+    ["optimize", "--model", "ae", "--k", "19"],
+    ["bound", "--model", "kerr", "--k", "19", "--partition", "0,1"],
+])
+def test_flags_that_would_be_ignored_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

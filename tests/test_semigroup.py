@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsdecert.semigroup
+from qsdecert.semigroup import affine_basis, affine_coefficients
+from qsdecert.verification import _random_dissipative_model
 
 from qsdecert import (
     Generator,
@@ -141,11 +143,38 @@ def test_generator_matches_dense_assembly():
     expected -= 0.5 * (np.vdot(alpha, alpha).real + np.vdot(beta, beta).real) * np.eye(dim)
     got = generator(model, alpha, beta).matrix
     np.testing.assert_allclose(got, expected, atol=1e-13)
+    affine = np.einsum("k,kij->ij", affine_coefficients([beta])[0],
+                       affine_basis(model, [alpha])[0])
+    np.testing.assert_allclose(affine, got, atol=1e-13)
+
+
+_AMPLITUDE = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 8),
+    channels=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_affine_basis_generators_are_dissipative(dim, channels, seed, data):
+    model = _random_dissipative_model(np.random.default_rng(seed), dim, channels)
+    rows = st.lists(_AMPLITUDE, min_size=channels, max_size=channels)
+    alphas = data.draw(st.lists(rows, min_size=1, max_size=3), label="alphas")
+    betas = data.draw(st.lists(rows, min_size=len(alphas), max_size=len(alphas)),
+                      label="betas")
+    G = np.einsum("pk,pkij->pij", affine_coefficients(betas), affine_basis(model, alphas))
+    for M, a, b in zip(G, alphas, betas):
+        gen = Generator(matrix=M, k=None, alpha=np.array(a), beta=np.array(b))
+        assert gen.numerical_abscissa() <= 1e-12
 
 
 def test_generator_validation_and_cache():
     with pytest.raises(InvalidAmplitudeError):
         generator(MODEL, [0.1, 0.2], [0.1])
+    with pytest.raises(InvalidAmplitudeError):
+        affine_basis(MODEL, [[0.1, 0.2]])
     g1 = generator(MODEL, [0.1], [0.2])
     g2 = generator(MODEL, [0.1], [0.2])
     assert g1 is g2  # cached per amplitude pair

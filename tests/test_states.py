@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qsdecert import (
     ApproxState,
     InvalidApproximantError,
+    NumericError,
     OptimizeSchedule,
     PartitionError,
     SimpleFunction,
@@ -24,7 +25,7 @@ from qsdecert import (
     optimize,
     residual_norm,
 )
-from qsdecert.states import _expm2, _solve_coefficients
+from qsdecert.states import _expm2, _joint_evaluator, _solve_coefficients
 
 MODEL = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 2)
 
@@ -112,6 +113,15 @@ def test_cost_zero_for_undriven_vacuum():
     state = ApproxState([(_e(0), f)])
     assert cost(MODEL, (_e(0), f), state) <= 1e-12
     assert residual_norm(MODEL, (_e(0), f), state) <= 1e-12
+
+
+def test_cost_and_residual_norm_raise_on_nonfinite_residual():
+    f = SimpleFunction.constant([0.1], 1.0)
+    state = ApproxState([(_e(0), SimpleFunction.constant([40.0], 1.0))])
+    with pytest.raises(NumericError):
+        cost(MODEL, (_e(0), f), state)
+    with pytest.raises(NumericError):
+        residual_norm(MODEL, (_e(0), f), state)
 
 
 def test_cost_invariant_under_term_permutation():
@@ -324,3 +334,42 @@ def test_block_optimizer_descends():
     assert res.cost <= start + 1e-15
     assert res.cost < start
     assert res.state.terms[0][1].n_intervals == 4
+
+
+def _two_term_problem():
+    """f and the two terms each carry breakpoints the others lack."""
+    f = SimpleFunction(np.array([0.0, 0.2, 0.5]), np.array([[0.1], [0.12j]]))
+    g1 = SimpleFunction(np.array([0.0, 0.25, 0.5]), np.array([[0.05], [0.08 + 0.01j]]))
+    g2 = SimpleFunction(np.array([0.0, 0.1, 0.4, 0.5]),
+                        np.array([[0.02j], [0.1], [0.03]]))
+    return (_e(0), f), ApproxState([(_e(0), g1), (0.1 * _e(1), g2)])
+
+
+@pytest.mark.parametrize("schedule", [
+    OptimizeSchedule(),
+    OptimizeSchedule(u_support=2),
+])
+def test_joint_objective_matches_reference_cost(schedule):
+    psi, template = _two_term_problem()
+    evaluate = _joint_evaluator(MODEL, psi, template, schedule)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        vals = [g.values + 0.1 * (rng.normal(size=g.values.shape)
+                                  + 1j * rng.normal(size=g.values.shape))
+                for _, g in template.terms]
+        value, us, failed = evaluate(vals)
+        assert not failed
+        state = ApproxState([
+            (uj, SimpleFunction(g.breakpoints, v))
+            for uj, v, (_, g) in zip(us, vals, template.terms)
+        ])
+        assert value == pytest.approx(cost(MODEL, psi, state), rel=0.0, abs=1e-12)
+
+
+def test_joint_search_two_terms_on_different_partitions():
+    psi, template = _two_term_problem()
+    res = optimize(MODEL, psi, template, OptimizeSchedule(seed=4, max_iter=80))
+    assert res.cost < cost(MODEL, psi, template)
+    assert not res.search_failure
+    for (_, g), (_, g0) in zip(res.state.terms, template.terms):
+        np.testing.assert_array_equal(g.breakpoints, g0.breakpoints)

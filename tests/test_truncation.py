@@ -503,5 +503,12 @@ def test_kerr_table_row_rejects_oversized_state():
         kerr_table_row(2, state=tall)
 
 
+def test_kerr_table_row_overflowing_residual_is_a_numeric_error():
+    # e(g) with |g|^2 t = 1600 overflows the Gram term of the residual
+    big = ApproxState([(np.eye(6, dtype=complex)[0], SimpleFunction.constant([40.0], 1.0))])
+    with pytest.raises(NumericError):
+        kerr_table_row(5, t_final=1.0, state=big)
+
+
 def test_csv_header_is_stable():
     assert CSV_HEADER == "k,r,s,t,z_sum,residual,mismatch,bound"
