@@ -67,6 +67,7 @@ from .truncation import (
     CSV_HEADER,
     BoundConstants,
     CertificateReport,
+    assemble,
     atom_cavity_constants,
     c_sequence,
     coherent_mismatch,
@@ -83,7 +84,6 @@ from .adiabatic import (
     AeConstants,
     AeModel,
     ae_certificate_table,
-    ae_interval_sum,
     ae_operators,
     ae_semigroup_error,
     ae_theorem_bound,

@@ -19,15 +19,13 @@ from .errors import (
     InvalidDimensionError,
     InvalidModelError,
     InvalidParameterError,
-    NumericError,
-    PartitionError,
     StructuralModelError,
 )
 from .models import SlhModel
 from .operators import adjoint, annihilation, creation, number, opnorm, tensor
-from .semigroup import SimpleFunction, generator, refine_common
-from .states import ApproxState, OptimizeResult, OptimizeSchedule, cost, exp_norm, optimize
-from .truncation import CertificateReport, coherent_mismatch
+from .semigroup import SimpleFunction, generator
+from .states import ApproxState, OptimizeResult, OptimizeSchedule, cost, optimize
+from .truncation import CertificateReport, assemble, coherent_mismatch
 
 __all__ = [
     "AeModel",
@@ -37,7 +35,6 @@ __all__ = [
     "m_constants",
     "ae_semigroup_error",
     "ae_variant_error",
-    "ae_interval_sum",
     "ae_theorem_bound",
     "oscillator_elimination",
     "atom_cavity_ae",
@@ -321,20 +318,6 @@ def ae_variant_error(const: AeConstants, t: float, N1, N2) -> float:
     return (const.M1 * (float(N1(t)) + float(N2(t))) + t * const.M2) / const.k
 
 
-def ae_interval_sum(constants_per_interval, partition) -> float:
-    """Sum of per-interval semigroup errors over a partition."""
-    partition = np.asarray(partition, dtype=float)
-    if len(constants_per_interval) != partition.size - 1:
-        raise PartitionError(
-            f"{partition.size - 1} intervals but "
-            f"{len(constants_per_interval)} constant sets"
-        )
-    return float(sum(
-        ae_semigroup_error(c, float(dt))
-        for c, dt in zip(constants_per_interval, np.diff(partition))
-    ))
-
-
 def ae_theorem_bound(model: AeModel, psi, psi_prime: ApproxState,
                      f_prime: SimpleFunction) -> CertificateReport:
     """Certificate against the scaled unitary, residual on the slow space.
@@ -347,46 +330,20 @@ def ae_theorem_bound(model: AeModel, psi, psi_prime: ApproxState,
     if model.k is None:
         raise InvalidParameterError("model carries no scaling parameter k")
     u, f = psi
-    reduced = limit_coefficients(model)
-    mismatch = coherent_mismatch(f, f_prime)
-    residual = cost(reduced, (u, f_prime), psi_prime)
 
-    z_terms = []
-    weights = []
-    z_sum = 0.0
-    partition = None
-    for uj, gj in psi_prime.terms:
-        fr, gr = refine_common(f_prime, gj)
-        if partition is None:
-            partition = [float(b) for b in fr.breakpoints]
-        dts = fr.durations()
-        zs = []
-        for i in range(fr.n_intervals):
-            const = m_constants(model, fr.values[i], gr.values[i])
-            zs.append(ae_semigroup_error(const, float(dts[i])))
-        w = float(np.linalg.norm(uj)) * exp_norm(gj)
-        z_terms.append(zs)
-        weights.append(w)
-        z_sum += w * sum(zs)
+    def interval_errors(fr, gr):
+        return [
+            ae_semigroup_error(m_constants(model, fr.values[i], gr.values[i]), float(dt))
+            for i, dt in enumerate(fr.durations())
+        ]
 
-    bound = math.sqrt(4.0 * (mismatch + residual) ** 2 + 2.0 * z_sum)
-    if not (math.isfinite(z_sum) and math.isfinite(bound)):
-        raise NumericError(f"certificate is not finite (z_sum={z_sum}, bound={bound})")
-    return CertificateReport(
+    report = assemble(
+        psi_prime, f_prime, coherent_mismatch(f, f_prime),
+        cost(limit_coefficients(model), (u, f_prime), psi_prime), interval_errors,
         k=int(model.k),
-        r=0,
-        s=0,
-        t=f_prime.t_final,
-        z_sum=z_sum,
-        residual=residual,
-        mismatch=mismatch,
-        bound=bound,
-        k_scaling=2.0 * z_sum,
-        z_terms=z_terms,
-        weights=weights,
-        partition=partition or [],
-        psi_desc=psi_prime.label or f"{psi_prime.n_terms}-term approximant",
     )
+    report.k_scaling = 2.0 * report.z_sum
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -591,13 +548,13 @@ def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
             search_failure=coarse.search_failure or result.search_failure,
         )
 
-    # Prime the shared (alpha, beta) matrix cache serially so pooled per-k
-    # evaluation only rescales and re-norms.
-    if len(k_list):
-        ae_theorem_bound(model.with_k(list(k_list)[0]), (u0, f), state, f)
+    def certify(k):
+        return ae_theorem_bound(model.with_k(k), (u0, f), state, f)
+
+    # The first certificate fills the shared (alpha, beta) matrix cache
+    # serially, so pooled evaluation of the others only rescales and re-norms.
+    ks = list(k_list)
+    if not ks:
+        return [], result
     mapper = pool_map or (lambda fn, xs: [fn(x) for x in xs])
-    reports = list(mapper(
-        lambda k: ae_theorem_bound(model.with_k(k), (u0, f), state, f),
-        list(k_list),
-    ))
-    return reports, result
+    return [certify(ks[0]), *mapper(certify, ks[1:])], result

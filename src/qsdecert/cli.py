@@ -204,25 +204,34 @@ def _parse_partition(text: str) -> list[float]:
     return partition
 
 
+def _reject(parser, args, route: str, names) -> None:
+    """Exit 2 if any of the named flags, which the route ignores, was given."""
+    given = ["--" + name.replace("_", "-") for name in names
+             if getattr(args, name) is not None]
+    if given:
+        parser.error(f"{', '.join(given)} not used by {route}")
+
+
 def cmd_bound(parser, args) -> int:
     if args.model == "kerr" and args.constants is None:
         if args.k is None:
             parser.error("builtin kerr evaluation needs --k")
         if args.k < 1:
             parser.error("truncation level must be >= 1")
-        if args.partition is not None:
-            parser.error("--partition does not apply to builtin kerr evaluation")
-        report = kerr_table_row(
-            args.k,
-            alpha=args.alpha,
-            t_final=args.t_final,
-            n_intervals=args.intervals,
-            r=args.r,
-            s=args.s,
-        )
+        _reject(parser, args, "builtin kerr evaluation", ("partition", "amplitudes"))
+        given = {"alpha": args.alpha, "t_final": args.t_final, "n_intervals": args.intervals}
+        report = kerr_table_row(args.k, r=args.r, s=args.s,
+                                **{key: v for key, v in given.items() if v is not None})
         _emit(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", args.out)
         return 0
 
+    if args.constants is not None:
+        _reject(parser, args, "--constants evaluation",
+                ("model", "k", "intervals", "amplitudes", "alpha", "t_final"))
+    elif args.model is None:
+        parser.error("need --model or --constants")
+    else:
+        _reject(parser, args, "model-file evaluation", ("k", "intervals", "alpha", "t_final"))
     if args.partition is None:
         parser.error("rate-constant evaluation needs --partition")
     partition = _parse_partition(args.partition)
@@ -232,30 +241,27 @@ def cmd_bound(parser, args) -> int:
         if rates.shape[1] == 1:
             rates = np.repeat(rates, n_intervals, axis=1)
         consts = BoundConstants(*rates, k=k)
-    elif args.model is not None:
+    else:
         model = model_from_json(_load_json(args.model))
+        amplitudes = args.amplitudes or "0,0"
         try:
-            alpha, beta = (complex(x) for x in args.amplitudes.split(","))
+            alpha, beta = (complex(x) for x in amplitudes.split(","))
         except ValueError as exc:
             raise InvalidParameterError(
                 f"--amplitudes must be two comma-separated complex numbers, "
-                f"got {args.amplitudes!r}"
+                f"got {amplitudes!r}"
             ) from exc
         c = constants_for(model, alpha, beta)
         k = c.k
         consts = [c] * n_intervals
-    else:
-        parser.error("need --model or --constants")
-    z_sum = interval_sum(consts, partition, args.r, args.s)
     report = CertificateReport(
         k=k or 0,
         r=args.r,
         s=args.s,
         t=partition[-1],
-        z_sum=z_sum,
+        z_sum=interval_sum(consts, partition, args.r, args.s),
         residual=0.0,
         mismatch=0.0,
-        bound=(2.0 * z_sum) ** 0.5,
         partition=partition,
         psi_desc="rate-sum evaluation (no approximant)",
     )
@@ -338,15 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ae_table)
 
     p = add_parser("bound", help="generic certificate evaluator")
-    _add_common(p, t_final=5.0, intervals=10)
+    _add_common(p, t_final=None, intervals=None)
+    # Unset flags stay None so that cmd_bound can reject the ones a route
+    # ignores; builtin kerr evaluation falls back to kerr_table_row's defaults.
+    p.set_defaults(alpha=None)
     p.add_argument("--model", default=None,
                    help="'kerr' or a path to a model JSON file")
     p.add_argument("--constants", default=None,
                    help="JSON file with per-interval rate constants")
     p.add_argument("--partition", default=None,
                    help="comma-separated breakpoints, e.g. 0,0.5,1")
-    p.add_argument("--amplitudes", default="0,0",
-                   help="'alpha,beta' for model-file evaluation")
+    p.add_argument("--amplitudes", default=None,
+                   help="'alpha,beta' for model-file evaluation (default 0,0)")
     p.set_defaults(func=cmd_bound)
 
     p = add_parser("optimize", help="search for an approximant")

@@ -27,7 +27,14 @@ import scipy.optimize
 
 from .errors import InvalidApproximantError, NumericError, PartitionError
 from .models import SlhModel, decode_vector, encode_vector
-from .semigroup import SimpleFunction, affine_basis, affine_coefficients, chain, refine_common
+from .semigroup import (
+    BREAKPOINT_MERGE_TOL,
+    SimpleFunction,
+    affine_basis,
+    affine_coefficients,
+    chain,
+    refine_common,
+)
 
 __all__ = [
     "ApproxState",
@@ -446,6 +453,11 @@ class _BlockOptimizer:
         self.m = model.m
         self.dim = model.dim
         # f must be constant per global interval for the fused generator form.
+        gaps = np.abs(self.f.breakpoints[:, None] - self.breakpoints[None, :]).min(axis=1)
+        if (gaps > BREAKPOINT_MERGE_TOL).any():
+            raise PartitionError(
+                "block mode needs every breakpoint of f in the terms' partition"
+            )
         alphas = self.f.with_breakpoints(self.breakpoints).values
 
         # dt G(beta) = basis . (1, beta, -|beta|^2 / 2), frozen per interval.

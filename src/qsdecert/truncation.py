@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DegenerateRateError,
-    InvalidApproximantError,
     InvalidParameterError,
     NormalizationError,
     NumericError,
@@ -40,6 +39,7 @@ __all__ = [
     "constants_for",
     "interval_sum",
     "coherent_mismatch",
+    "assemble",
     "theorem_bound",
     "kerr_reference_state",
     "kerr_table_row",
@@ -306,9 +306,10 @@ def coherent_mismatch(f: SimpleFunction, f_prime: SimpleFunction) -> float:
 class CertificateReport:
     """Assembled state-error certificate with re-checkable parts.
 
-    The recombination invariant is
-    bound = sqrt(4 (mismatch + residual)^2 + 2 z_sum), where z_sum already
-    carries the per-component weights ||psi'_j||. For level-scaling
+    bound = sqrt(4 (mismatch + residual)^2 + 2 z_sum) is computed here, where
+    z_sum already carries the per-component weights ||psi'_j||; a z sum or
+    bound that is not finite raises NumericError. Two unit vectors are at
+    most 2 apart, so a bound >= 2 is vacuous. For level-scaling
     certificates, k_scaling holds the 2 z_sum total; it is None here.
     """
 
@@ -319,12 +320,19 @@ class CertificateReport:
     z_sum: float
     residual: float
     mismatch: float
-    bound: float
+    bound: float = field(init=False)
     k_scaling: float | None = None
     z_terms: list = field(default_factory=list)
     weights: list = field(default_factory=list)
     partition: list = field(default_factory=list)
     psi_desc: str = ""
+
+    def __post_init__(self):
+        self.bound = self.recombined_bound()
+        if not (math.isfinite(self.z_sum) and math.isfinite(self.bound)):
+            raise NumericError(
+                f"certificate is not finite (z_sum={self.z_sum}, bound={self.bound})"
+            )
 
     def recombined_bound(self) -> float:
         return math.sqrt(
@@ -353,47 +361,21 @@ class CertificateReport:
             weights=self.weights,
             partition=self.partition,
             psi_desc=self.psi_desc,
+            vacuous=self.bound >= 2.0,
         )
         return data
 
 
-def theorem_bound(model: SlhModel, psi, psi_prime: ApproxState,
-                  f_prime: SimpleFunction, r: int, s: int,
-                  use_unitary_variant: bool = True,
-                  residual: float | None = None,
-                  constants_fn=None) -> CertificateReport:
-    """Assemble the full state-error certificate.
+def assemble(psi_prime: ApproxState, f_prime: SimpleFunction, mismatch: float,
+             residual: float, interval_errors, *, k: int, r: int = 0,
+             s: int = 0) -> CertificateReport:
+    """Certificate from its mismatch, residual and per-interval errors.
 
-    psi is the pair (u, f) with ||u|| = 1. With use_unitary_variant the
-    residual is computed here against the truncated propagator through
-    interval semigroups; otherwise the caller supplies a residual bound
-    against the exact propagator and we only assemble. The rate constants
-    take one channel's amplitudes, so a model with more than one channel
-    raises UnsupportedModelError; a z sum or bound that is not finite raises
-    NumericError.
+    Each term (u_j, g_j) is refined against f_prime, and
+    interval_errors(fr, gr) returns the error of every interval of that
+    common partition. The term's weight is ||u_j|| exp(||g_j||^2 / 2), and
+    z_sum = sum_j w_j sum_i z_ij, accumulated in term order.
     """
-    u, f = psi
-    u = np.asarray(u, dtype=complex)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-        raise NormalizationError("reference system vector must be normalized")
-    if psi_prime.n_terms < 1:
-        raise InvalidApproximantError("approximant must have at least one term")
-    if model.m > 1:
-        raise UnsupportedModelError(
-            f"the rate constants take one channel's amplitudes; this model has "
-            f"{model.m} channels"
-        )
-    if constants_fn is None:
-        constants_fn = lambda a, b: constants_for(model, a, b)
-
-    mismatch = coherent_mismatch(f, f_prime)
-    if use_unitary_variant:
-        residual = cost(model, (u, f_prime), psi_prime)
-    elif residual is None:
-        raise InvalidParameterError(
-            "residual must be supplied when not using the unitary variant"
-        )
-
     z_terms = []
     weights = []
     z_sum = 0.0
@@ -402,34 +384,57 @@ def theorem_bound(model: SlhModel, psi, psi_prime: ApproxState,
         fr, gr = refine_common(f_prime, gj)
         if partition is None:
             partition = [float(b) for b in fr.breakpoints]
-        consts = _columns([
-            constants_fn(complex(a), complex(b))
-            for a, b in zip(fr.values[:, 0], gr.values[:, 0])
-        ])
-        zs = z_bound(consts, r, s, fr.durations()).tolist()
+        zs = interval_errors(fr, gr)
         w = float(np.linalg.norm(uj)) * exp_norm(gj)
         z_terms.append(zs)
         weights.append(w)
         z_sum += w * sum(zs)
-
-    bound = math.sqrt(4.0 * (mismatch + residual) ** 2 + 2.0 * z_sum)
-    if not (math.isfinite(z_sum) and math.isfinite(bound)):
-        raise NumericError(
-            f"certificate is not finite (z_sum={z_sum}, bound={bound})"
-        )
     return CertificateReport(
-        k=model.params.get("k", model.dim - 1),
+        k=k,
         r=r,
         s=s,
         t=f_prime.t_final,
         z_sum=z_sum,
         residual=residual,
         mismatch=mismatch,
-        bound=bound,
         z_terms=z_terms,
         weights=weights,
-        partition=partition or [],
+        partition=partition,
         psi_desc=psi_prime.label or f"{psi_prime.n_terms}-term approximant",
+    )
+
+
+def theorem_bound(model: SlhModel, psi, psi_prime: ApproxState,
+                  f_prime: SimpleFunction, r: int, s: int) -> CertificateReport:
+    """Assemble the full state-error certificate.
+
+    psi is the pair (u, f) with ||u|| = 1; the residual is computed against
+    the truncated propagator through interval semigroups. The rate constants
+    take one channel's amplitudes, so a model with more than one channel
+    raises UnsupportedModelError; a z sum or bound that is not finite raises
+    NumericError.
+    """
+    u, f = psi
+    u = np.asarray(u, dtype=complex)
+    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+        raise NormalizationError("reference system vector must be normalized")
+    if model.m > 1:
+        raise UnsupportedModelError(
+            f"the rate constants take one channel's amplitudes; this model has "
+            f"{model.m} channels"
+        )
+
+    def interval_z(fr, gr):
+        consts = _columns([
+            constants_for(model, complex(a), complex(b))
+            for a, b in zip(fr.values[:, 0], gr.values[:, 0])
+        ])
+        return z_bound(consts, r, s, fr.durations()).tolist()
+
+    return assemble(
+        psi_prime, f_prime, coherent_mismatch(f, f_prime),
+        cost(model, (u, f_prime), psi_prime), interval_z,
+        k=model.params.get("k", model.dim - 1), r=r, s=s,
     )
 
 
@@ -470,7 +475,7 @@ def kerr_table_row(k: int, *, lam: float = 25.0, delta: float = 50.0,
         state = kerr_reference_state(k + 1)
     else:
         state = _padded(state, k + 1)
-    return theorem_bound(model, (u, f), state, f, r, s, use_unitary_variant=True)
+    return theorem_bound(model, (u, f), state, f, r, s)
 
 
 def _padded(state: ApproxState, dim: int) -> ApproxState:

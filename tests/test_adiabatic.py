@@ -12,11 +12,9 @@ from qsdecert import (
     InvalidModelError,
     InvalidParameterError,
     NumericError,
-    PartitionError,
     SimpleFunction,
     StructuralModelError,
     ae_certificate_table,
-    ae_interval_sum,
     ae_operators,
     ae_semigroup_error,
     ae_theorem_bound,
@@ -199,16 +197,6 @@ def test_variant_error_reductions():
         ae_semigroup_error(c, -0.1)
     with pytest.raises(InvalidParameterError):
         ae_variant_error(c, -0.1, one, one)
-
-
-def test_ae_interval_sum():
-    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4).with_k(10**6)
-    c = m_constants(m, [DRIVE], [DRIVE])
-    parts = np.array([0.0, 0.25, 1.0])
-    manual = ae_semigroup_error(c, 0.25) + ae_semigroup_error(c, 0.75)
-    assert ae_interval_sum([c, c], parts) == pytest.approx(manual, rel=1e-14)
-    with pytest.raises(PartitionError):
-        ae_interval_sum([c], parts)
 
 
 def test_ae_theorem_bound_assembly():

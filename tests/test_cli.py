@@ -91,6 +91,23 @@ def test_bound_builtin_kerr_matches_table_row(tmp_path):
         assert payload[key] == ref[key]
 
 
+def test_json_marks_vacuous_bounds(tmp_path):
+    # Two unit vectors are at most 2 apart, so a bound >= 2 says nothing.
+    out = tmp_path / "t.json"
+    argv = ["kerr-table", "--k", "19", "--format", "json", "--out", str(out)]
+    assert main(argv + ["--alpha", "1e3"]) == 0
+    row = json.loads(_read(out))["rows"][0]
+    assert row["bound"] == pytest.approx(2.8283903470124105, abs=1e-12)
+    assert row["vacuous"] is True
+    assert main(argv) == 0
+    row = json.loads(_read(out))["rows"][0]
+    assert row["bound"] == pytest.approx(KERR19_BOUND, abs=1e-12)
+    assert row["vacuous"] is False
+    # The CSV schema has no such column.
+    assert main(["kerr-table", "--k", "19", "--out", str(out)]) == 0
+    assert _read(out).splitlines()[0] == CSV_HEADER
+
+
 def test_bound_requires_level():
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--model", "kerr"])
@@ -350,6 +367,15 @@ def test_verify_quick(tmp_path):
     ["optimize", "--model", "kerr", "--blocks", "4"],
     ["optimize", "--model", "ae", "--k", "19"],
     ["bound", "--model", "kerr", "--k", "19", "--partition", "0,1"],
+    ["bound", "--model", "kerr", "--k", "5", "--amplitudes", "9,9"],
+    ["bound", "--constants", "c.json", "--partition", "0,1", "--k", "7"],
+    ["bound", "--constants", "c.json", "--partition", "0,1", "--intervals", "3"],
+    ["bound", "--constants", "c.json", "--partition", "0,1", "--amplitudes", "5,5"],
+    ["bound", "--constants", "c.json", "--partition", "0,1", "--alpha", "0.2"],
+    ["bound", "--constants", "c.json", "--partition", "0,1", "--t-final", "2"],
+    ["bound", "--constants", "c.json", "--partition", "0,1", "--model", "kerr"],
+    ["bound", "--model", "m.json", "--partition", "0,1", "--k", "7"],
+    ["bound", "--model", "m.json", "--partition", "0,1", "--alpha", "0.2"],
 ])
 def test_flags_that_would_be_ignored_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

@@ -321,6 +321,21 @@ def test_block_mode_requires_shared_partition():
         optimize(MODEL, (_e(0), f), init, OptimizeSchedule(block_size=1))
 
 
+def test_block_mode_rejects_drive_breakpoints_off_the_partition():
+    # f breaks at 0.3, inside the terms' interval [0.25, 0.5): the block
+    # search would read f at that interval's midpoint and minimize the
+    # residual of a different drive.
+    f = SimpleFunction(np.array([0.0, 0.3, 0.5]), np.array([[0.1], [0.3j]]))
+    g = SimpleFunction(np.array([0.0, 0.25, 0.5]), np.array([[0.1], [0.1]]))
+    init = ApproxState([(_e(0), g)])
+    with pytest.raises(PartitionError):
+        optimize(MODEL, (_e(0), f), init, OptimizeSchedule(block_size=2))
+    # The same drive breaking at 0.25 lies on the partition.
+    f = SimpleFunction(g.breakpoints, f.values)
+    res = optimize(MODEL, (_e(0), f), init, OptimizeSchedule(block_size=2, max_iter=5))
+    assert res.cost <= cost(MODEL, (_e(0), f), init)
+
+
 def test_block_optimizer_descends():
     bps = np.linspace(0.0, 0.5, 5)
     vals = np.full((4, 1), 0.05 + 0.0j)

@@ -1,9 +1,12 @@
-"""The benchmark's tracer and workloads name program functions that exist."""
+"""The benchmark's tracer and workloads, and every module's __all__, name
+program objects that exist."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
+import qsdecert
 import qsdecert.cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -20,3 +23,15 @@ def test_tracer_targets_resolve():
     assert missing == []
     # perfbench/workloads.py passes the CLI's row pool to ae_certificate_table
     assert callable(qsdecert.cli._pool_map)
+
+
+def test_every_exported_name_resolves():
+    modules = [qsdecert] + [
+        importlib.import_module(f"qsdecert.{info.name}")
+        for info in pkgutil.iter_modules(qsdecert.__path__)
+    ]
+    missing = [
+        f"{mod.__name__}.{name}" for mod in modules
+        for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)
+    ]
+    assert missing == []

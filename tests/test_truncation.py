@@ -332,16 +332,15 @@ def test_nonfinite_bounds_raise_numeric_error():
 
 
 def test_theorem_bound_rejects_nonfinite_certificate():
-    # exp(||g||^2 / 2) overflows, so the weight and z_sum are infinite.
+    # The residual (1.005e154) and z_sum (1.4e152) are finite, but
+    # 4 residual^2 overflows, so the bound is inf.
     m = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 3)
     f = SimpleFunction.constant([0.1], 1.0)
     u = np.zeros(4, dtype=complex)
     u[0] = 1.0
-    state = ApproxState([(u, SimpleFunction.constant([40.0], 1.0))])
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericError):
-            theorem_bound(m, (u, f), state, f, 2, 2, use_unitary_variant=False,
-                          residual=0.0, constants_fn=lambda a, b: KERR19)
+    state = ApproxState([(1e154 * u, f)])
+    with pytest.raises(NumericError, match="certificate is not finite"):
+        theorem_bound(m, (u, f), state, f, 2, 2)
 
 
 def test_theorem_bound_rejects_multichannel_models():
@@ -355,8 +354,7 @@ def test_theorem_bound_rejects_multichannel_models():
     u[0] = 1.0
     state = ApproxState([(u, f)])
     with pytest.raises(UnsupportedModelError):
-        theorem_bound(two, (u, f), state, f, 2, 2,
-                      constants_fn=lambda a, b: KERR19)
+        theorem_bound(two, (u, f), state, f, 2, 2)
 
 
 def test_interval_sum():
