@@ -23,7 +23,7 @@ from .errors import (
 )
 from .models import SlhModel
 from .operators import adjoint, annihilation, creation, number, opnorm, tensor
-from .semigroup import SimpleFunction, generator
+from .semigroup import SimpleFunction, generator, refine_common
 from .states import ApproxState, OptimizeResult, OptimizeSchedule, cost, optimize
 from .truncation import CertificateReport, assemble, coherent_mismatch
 
@@ -64,7 +64,7 @@ class AeModel:
     """
 
     def __init__(self, Y, Ytilde, A, B, F, G, W, P0, level_of_basis,
-                 J_max, represented=None, k=None, label="", params=None):
+                 J_max, represented=None, label="", params=None):
         self.Y = np.asarray(Y, dtype=complex)
         self.Ytilde = np.asarray(Ytilde, dtype=complex)
         self.A = np.asarray(A, dtype=complex)
@@ -81,10 +81,8 @@ class AeModel:
         if represented is None:
             represented = np.ones(self.dim, dtype=bool)
         self.represented = np.asarray(represented, dtype=bool)
-        self.k = k
         self.label = label
         self.params = dict(params or {})
-        self._cache = {}
 
         if len(self.G) != self.m:
             raise InvalidDimensionError("F and G channel counts differ")
@@ -125,13 +123,6 @@ class AeModel:
         for c, i in enumerate(self.h0_indices):
             E[i, c] = 1.0
         return E
-
-    def with_k(self, k) -> "AeModel":
-        """Same structure tagged with a scaling parameter; caches shared."""
-        clone = object.__new__(AeModel)
-        clone.__dict__.update(self.__dict__)
-        clone.k = k
-        return clone
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"AeModel({self.label!r}, dim={self.dim}, J_max={self.J_max})"
@@ -216,9 +207,6 @@ def limit_coefficients(model: AeModel) -> SlhModel:
     self-adjoint to 1e-10; defects above that raise, defects below are
     projected out before the model is constructed.
     """
-    cached = model._cache.get("limit")
-    if cached is not None:
-        return cached
     S, L, H, d0 = _limit_blocks(model)
 
     big = np.block([[S[j][i] for i in range(model.m)] for j in range(model.m)])
@@ -233,7 +221,7 @@ def limit_coefficients(model: AeModel) -> SlhModel:
         S = [[big[j * d0:(j + 1) * d0, i * d0:(i + 1) * d0]
               for i in range(model.m)] for j in range(model.m)]
 
-    reduced = SlhModel(
+    return SlhModel(
         label=f"{model.label}|limit",
         S=S,
         L=L,
@@ -241,25 +229,17 @@ def limit_coefficients(model: AeModel) -> SlhModel:
         factor_dims=(d0,),
         params={"family": "ae_limit", "parent": model.label, **model.params},
     )
-    model._cache["limit"] = reduced
-    return reduced
 
 
-def _m_matrices(model: AeModel, alpha, beta):
+def _m_matrices(model: AeModel, reduced: SlhModel, alpha, beta):
     """k-affine split of the two M compositions restricted to H0.
 
-    Returns (P1, Q1, P2, Q2) with M1 = ||P1 + Q1/k||, M2 = ||P2 + Q2/k||.
-    Cached per (alpha, beta); raises if any composition carries amplitude at
-    or beyond the guard level J_max.
+    reduced is limit_coefficients(model). Returns (P1, Q1, P2, Q2) with
+    M1 = ||P1 + Q1/k||, M2 = ||P2 + Q2/k||; raises if any composition
+    carries amplitude at or beyond the guard level J_max.
     """
     alpha = _amps(alpha, model.m)
     beta = _amps(beta, model.m)
-    key = ("m", alpha.tobytes(), beta.tobytes())
-    cached = model._cache.get(key)
-    if cached is not None:
-        return cached
-
-    reduced = limit_coefficients(model)
     E = model.embedding()
     off = np.eye(model.dim, dtype=complex) - model.P0
     Yt = model.Ytilde
@@ -282,26 +262,25 @@ def _m_matrices(model: AeModel, alpha, beta):
             raise InsufficientTruncationError(
                 "composition reaches the guard level; increase J_max"
             )
-    model._cache[key] = (P1, Q1, P2, Q2)
-    return model._cache[key]
+    return P1, Q1, P2, Q2
 
 
-def m_constants(model: AeModel, alpha, beta, k=None) -> AeConstants:
+def _rates(matrices, k, alpha=0j, beta=0j) -> AeConstants:
+    """M1, M2 at scaling parameter k from _m_matrices' (P1, Q1, P2, Q2)."""
+    if not k > 0:
+        raise InvalidParameterError(f"scaling parameter must be positive, got {k}")
+    P1, Q1, P2, Q2 = matrices
+    return AeConstants(M1=opnorm(P1 + Q1 / k), M2=opnorm(P2 + Q2 / k), k=float(k),
+                       alpha=alpha, beta=beta)
+
+
+def m_constants(model: AeModel, alpha, beta, k) -> AeConstants:
     """Operator-norm rates M1, M2 at scaling parameter k."""
-    if k is None:
-        k = model.k
-    if k is None:
-        raise InvalidParameterError("scaling parameter k not set on model or call")
-    P1, Q1, P2, Q2 = _m_matrices(model, alpha, beta)
     a = _amps(alpha, model.m)
     b = _amps(beta, model.m)
-    return AeConstants(
-        M1=opnorm(P1 + Q1 / k),
-        M2=opnorm(P2 + Q2 / k),
-        k=float(k),
-        alpha=complex(a[0]) if model.m == 1 else 0j,
-        beta=complex(b[0]) if model.m == 1 else 0j,
-    )
+    return _rates(_m_matrices(model, limit_coefficients(model), a, b), k,
+                  alpha=complex(a[0]) if model.m == 1 else 0j,
+                  beta=complex(b[0]) if model.m == 1 else 0j)
 
 
 def ae_semigroup_error(const: AeConstants, t: float) -> float:
@@ -318,32 +297,47 @@ def ae_variant_error(const: AeConstants, t: float, N1, N2) -> float:
     return (const.M1 * (float(N1(t)) + float(N2(t))) + t * const.M2) / const.k
 
 
+def _ae_certifier(model: AeModel, reduced: SlhModel, psi, psi_prime: ApproxState,
+                  f_prime: SimpleFunction):
+    """k -> certificate of one approximant, for a sweep of scaling values.
+
+    reduced is limit_coefficients(model). The mismatch, the residual, and
+    each term's common partition with f_prime and per-interval
+    (P1, Q1, P2, Q2) do not depend on k and are computed here once; the
+    returned function takes two norms per interval and assembles.
+    """
+    u, f = psi
+    mismatch = coherent_mismatch(f, f_prime)
+    residual = cost(reduced, (u, f_prime), psi_prime)
+    refined = [refine_common(f_prime, gj) for _, gj in psi_prime.terms]
+    intervals = [
+        [(_m_matrices(model, reduced, a, b), float(dt))
+         for a, b, dt in zip(fr.values, gr.values, fr.durations())]
+        for fr, gr in refined
+    ]
+
+    def certify(k) -> CertificateReport:
+        z_terms = [[ae_semigroup_error(_rates(mats, k), dt) for mats, dt in term]
+                   for term in intervals]
+        report = assemble(psi_prime, f_prime, mismatch, residual, z_terms,
+                          partition=refined[0][0].breakpoints, k=int(k))
+        report.k_scaling = 2.0 * report.z_sum
+        return report
+
+    return certify
+
+
 def ae_theorem_bound(model: AeModel, psi, psi_prime: ApproxState,
-                     f_prime: SimpleFunction) -> CertificateReport:
-    """Certificate against the scaled unitary, residual on the slow space.
+                     f_prime: SimpleFunction, k) -> CertificateReport:
+    """Certificate against the scaled unitary at scaling parameter k.
 
     Here the computable propagator is the reduced limit model, so the
     residual chain runs on H0; the reduction error enters through the
-    (2/k)-scaled M sums recorded in the k_scaling column. A residual, z sum
-    or bound that is not finite raises NumericError.
+    (2/k)-scaled M sums recorded in the k_scaling column. k <= 0 raises
+    InvalidParameterError; a residual, z sum or bound that is not finite
+    raises NumericError.
     """
-    if model.k is None:
-        raise InvalidParameterError("model carries no scaling parameter k")
-    u, f = psi
-
-    def interval_errors(fr, gr):
-        return [
-            ae_semigroup_error(m_constants(model, fr.values[i], gr.values[i]), float(dt))
-            for i, dt in enumerate(fr.durations())
-        ]
-
-    report = assemble(
-        psi_prime, f_prime, coherent_mismatch(f, f_prime),
-        cost(limit_coefficients(model), (u, f_prime), psi_prime), interval_errors,
-        k=int(model.k),
-    )
-    report.k_scaling = 2.0 * report.z_sum
-    return report
+    return _ae_certifier(model, limit_coefficients(model), psi, psi_prime, f_prime)(k)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +495,11 @@ def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
                          pool_map=None):
     """Certificates for the driven atom-cavity reduction over a k sweep.
 
-    The approximant is optimized once on the reduced model (it is
-    k-independent); each k then only rescales the M sums. Both search stages
-    run the sequential block optimizer, which is deterministic and does not
-    use `seed`: any seed gives the same state. Returns (reports, optimization
+    The approximant, its residual and its M matrices are k-independent and
+    computed once on the reduced model; pool_map, an order-preserving map,
+    runs only each k's norms and assembly. Both search stages run the
+    sequential block optimizer, which is deterministic and does not use
+    `seed`: any seed gives the same state. Returns (reports, optimization
     result or None if a state was supplied).
     """
     model = atom_cavity_ae(gamma, g, alpha, J_max)
@@ -548,13 +543,9 @@ def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
             search_failure=coarse.search_failure or result.search_failure,
         )
 
-    def certify(k):
-        return ae_theorem_bound(model.with_k(k), (u0, f), state, f)
-
-    # The first certificate fills the shared (alpha, beta) matrix cache
-    # serially, so pooled evaluation of the others only rescales and re-norms.
     ks = list(k_list)
     if not ks:
         return [], result
+    certify = _ae_certifier(model, reduced, (u0, f), state, f)
     mapper = pool_map or (lambda fn, xs: [fn(x) for x in xs])
-    return [certify(ks[0]), *mapper(certify, ks[1:])], result
+    return list(mapper(certify, ks)), result

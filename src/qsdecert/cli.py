@@ -9,7 +9,8 @@ bound        generic certificate evaluator (builtin model, model file, or
 optimize     run the approximant search and emit the minimizer as JSON
 verify       run the oracle cross-check suite
 
-All outputs are deterministic for a fixed --seed; CSV rows follow the stable
+All outputs are deterministic for a fixed --seed. bound, optimize and verify
+print JSON only; the tables default to CSV, whose rows follow the stable
 schema "k,r,s,t,z_sum,residual,mismatch,bound" (level-scaling tables append a
 k_scaling column). Exit codes: 0 success, 1 numeric or verification failure,
 2 usage error. QSDE_THREADS overrides the per-row worker count.
@@ -301,7 +302,8 @@ def cmd_verify(parser, args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _add_common(p, *, t_final, intervals, seed_help=None, orders=True):
+def _add_common(p, *, t_final, intervals, seed=True, seed_help=None, orders=True,
+                formats=("csv", "json")):
     p.add_argument("--k", type=int, default=None, help="single level")
     if orders:
         p.add_argument("--r", type=int, default=2)
@@ -309,9 +311,10 @@ def _add_common(p, *, t_final, intervals, seed_help=None, orders=True):
     p.add_argument("--t-final", type=float, default=t_final, dest="t_final")
     p.add_argument("--intervals", type=int, default=intervals)
     p.add_argument("--alpha", type=complex, default=0.1 + 0j)
-    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ae_table)
 
     p = add_parser("bound", help="generic certificate evaluator")
-    _add_common(p, t_final=None, intervals=None)
+    _add_common(p, t_final=None, intervals=None, seed=False, formats=("json",))
     # Unset flags stay None so that cmd_bound can reject the ones a route
     # ignores; builtin kerr evaluation falls back to kerr_table_row's defaults.
     p.set_defaults(alpha=None)
@@ -359,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = add_parser("optimize", help="search for an approximant")
-    _add_common(p, t_final=5.0, intervals=None, orders=False)
+    _add_common(p, t_final=5.0, intervals=None, orders=False, formats=("json",))
     p.add_argument("--model", choices=("kerr", "ae"), default="kerr")
     p.add_argument("--blocks", type=int, help="--model ae only (default 100)")
     p.set_defaults(func=cmd_optimize)

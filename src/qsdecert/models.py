@@ -9,6 +9,7 @@ coupled to a cavity mode.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -107,8 +108,6 @@ class SlhModel:
         for Lj in self.L:
             Lj.setflags(write=False)
         self.H.setflags(write=False)
-        # Per-model memoization used by the semigroup module.
-        self._generator_cache = {}
 
     def scattering_is_identity(self, tol: float = 1e-14) -> bool:
         eye = np.eye(self.dim, dtype=complex)
@@ -239,30 +238,18 @@ def truncate(model: SlhModel, k: int) -> SlhModel:
     )
 
 
+# Each family builds a level once and keeps it for the family's lifetime.
 def kerr_family(lam: float, delta: float, chi: float) -> ModelFamily:
-    cache: dict[int, SlhModel] = {}
-
-    def build(k: int) -> SlhModel:
-        if k not in cache:
-            cache[k] = kerr_cavity(lam, delta, chi, k)
-        return cache[k]
-
     return ModelFamily(
-        label="kerr", builder=build,
+        label="kerr", builder=functools.cache(lambda k: kerr_cavity(lam, delta, chi, k)),
         params={"lam": lam, "delta": delta, "chi": chi},
     )
 
 
 def atom_cavity_family(lam: float, chi: float) -> ModelFamily:
-    cache: dict[int, SlhModel] = {}
-
-    def build(k: int) -> SlhModel:
-        if k not in cache:
-            cache[k] = atom_cavity(lam, chi, k)
-        return cache[k]
-
     return ModelFamily(
-        label="atom_cavity", builder=build, params={"lam": lam, "chi": chi},
+        label="atom_cavity", builder=functools.cache(lambda k: atom_cavity(lam, chi, k)),
+        params={"lam": lam, "chi": chi},
     )
 
 

@@ -18,7 +18,7 @@ maximal run of them, over the run's length read off the breakpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,7 +165,6 @@ class Generator:
     k: int | None
     alpha: np.ndarray
     beta: np.ndarray
-    _exp_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def numerical_abscissa(self) -> float:
         herm = 0.5 * (self.matrix + adjoint(self.matrix))
@@ -181,11 +180,6 @@ def generator(model: SlhModel, alpha, beta) -> Generator:
             f"amplitudes must have length {model.m}, "
             f"got {alpha.shape} and {beta.shape}"
         )
-    key = (alpha.tobytes(), beta.tobytes())
-    cached = model._generator_cache.get(key)
-    if cached is not None:
-        return cached
-
     dim = model.dim
     G = np.zeros((dim, dim), dtype=complex)
     for j in range(model.m):
@@ -204,7 +198,6 @@ def generator(model: SlhModel, alpha, beta) -> Generator:
         matrix=G, k=model.params.get("k"), alpha=alpha.copy(), beta=beta.copy()
     )
     gen.matrix.setflags(write=False)
-    model._generator_cache[key] = gen
     return gen
 
 
@@ -256,9 +249,6 @@ def propagate(gen: Generator, t: float) -> np.ndarray:
     """exp(t * G); checked to be a contraction up to roundoff."""
     if t < 0:
         raise InvalidAmplitudeError(f"time must be nonnegative, got {t}")
-    cached = gen._exp_cache.get(t)
-    if cached is not None:
-        return cached
     T = matexp(gen.matrix, t)
     nrm = opnorm(T)
     if nrm > 1.0 + CONTRACTION_TOL:
@@ -266,8 +256,6 @@ def propagate(gen: Generator, t: float) -> np.ndarray:
             f"semigroup norm {nrm:.3e} exceeds 1 at t={t}; "
             "generator assembly or the model itself is inconsistent"
         )
-    T.setflags(write=False)
-    gen._exp_cache[t] = T
     return T
 
 

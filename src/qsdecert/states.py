@@ -349,9 +349,8 @@ def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedu
     """evaluate(vals) -> (cost, solved u list, failed) for per-term amplitude values.
 
     f and every term's partition are refined once into one common partition,
-    on which the dt-scaled affine basis of f is frozen. Candidates never
-    repeat, so nothing goes through the shared semigroup caches: each term's
-    values reach the common partition through one precomputed interval index.
+    on which the dt-scaled affine basis of f is frozen. Each term's values
+    reach the common partition through one precomputed interval index.
     """
     u, f = psi
     common = f

@@ -367,27 +367,18 @@ class CertificateReport:
 
 
 def assemble(psi_prime: ApproxState, f_prime: SimpleFunction, mismatch: float,
-             residual: float, interval_errors, *, k: int, r: int = 0,
+             residual: float, z_terms, *, partition, k: int, r: int = 0,
              s: int = 0) -> CertificateReport:
     """Certificate from its mismatch, residual and per-interval errors.
 
-    Each term (u_j, g_j) is refined against f_prime, and
-    interval_errors(fr, gr) returns the error of every interval of that
-    common partition. The term's weight is ||u_j|| exp(||g_j||^2 / 2), and
-    z_sum = sum_j w_j sum_i z_ij, accumulated in term order.
+    z_terms[j] lists the errors of the intervals of term j's common
+    partition with f_prime; partition is the first term's. The term's weight
+    is ||u_j|| exp(||g_j||^2 / 2), and z_sum = sum_j w_j sum_i z_ij,
+    accumulated in term order.
     """
-    z_terms = []
-    weights = []
+    weights = [float(np.linalg.norm(uj)) * exp_norm(gj) for uj, gj in psi_prime.terms]
     z_sum = 0.0
-    partition = None
-    for uj, gj in psi_prime.terms:
-        fr, gr = refine_common(f_prime, gj)
-        if partition is None:
-            partition = [float(b) for b in fr.breakpoints]
-        zs = interval_errors(fr, gr)
-        w = float(np.linalg.norm(uj)) * exp_norm(gj)
-        z_terms.append(zs)
-        weights.append(w)
+    for w, zs in zip(weights, z_terms, strict=True):
         z_sum += w * sum(zs)
     return CertificateReport(
         k=k,
@@ -399,7 +390,7 @@ def assemble(psi_prime: ApproxState, f_prime: SimpleFunction, mismatch: float,
         mismatch=mismatch,
         z_terms=z_terms,
         weights=weights,
-        partition=partition,
+        partition=[float(b) for b in partition],
         psi_desc=psi_prime.label or f"{psi_prime.n_terms}-term approximant",
     )
 
@@ -424,16 +415,18 @@ def theorem_bound(model: SlhModel, psi, psi_prime: ApproxState,
             f"{model.m} channels"
         )
 
-    def interval_z(fr, gr):
-        consts = _columns([
-            constants_for(model, complex(a), complex(b))
-            for a, b in zip(fr.values[:, 0], gr.values[:, 0])
-        ])
-        return z_bound(consts, r, s, fr.durations()).tolist()
-
+    mismatch = coherent_mismatch(f, f_prime)
+    residual = cost(model, (u, f_prime), psi_prime)
+    refined = [refine_common(f_prime, gj) for _, gj in psi_prime.terms]
+    z_terms = [
+        z_bound(_columns([constants_for(model, complex(a), complex(b))
+                          for a, b in zip(fr.values[:, 0], gr.values[:, 0])]),
+                r, s, fr.durations()).tolist()
+        for fr, gr in refined
+    ]
     return assemble(
-        psi_prime, f_prime, coherent_mismatch(f, f_prime),
-        cost(model, (u, f_prime), psi_prime), interval_z,
+        psi_prime, f_prime, mismatch, residual, z_terms,
+        partition=refined[0][0].breakpoints,
         k=model.params.get("k", model.dim - 1), r=r, s=s,
     )
 

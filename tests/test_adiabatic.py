@@ -1,5 +1,8 @@
 """Adiabatic-elimination models: structure checks, limits, and certificates."""
 
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -43,7 +46,7 @@ def _rebuild(m, **over):
     kw = dict(
         Y=m.Y, Ytilde=m.Ytilde, A=m.A, B=m.B, F=list(m.F), G=list(m.G),
         W=[list(r) for r in m.W], P0=m.P0, level_of_basis=m.level_of_basis,
-        J_max=m.J_max, represented=m.represented, k=m.k, label=m.label,
+        J_max=m.J_max, represented=m.represented, label=m.label,
     )
     kw.update(over)
     return AeModel(**kw)
@@ -154,9 +157,9 @@ def test_ae_constants_validation():
 
 def test_m_constants_anchors_and_scaling():
     m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4)
-    c4 = m_constants(m.with_k(10**4), [DRIVE], [DRIVE])
-    c6 = m_constants(m.with_k(10**6), [DRIVE], [DRIVE])
-    c8 = m_constants(m.with_k(10**8), [DRIVE], [DRIVE])
+    c4 = m_constants(m, [DRIVE], [DRIVE], 10**4)
+    c6 = m_constants(m, [DRIVE], [DRIVE], 10**6)
+    c8 = m_constants(m, [DRIVE], [DRIVE], 10**8)
     assert c4.M1 == pytest.approx(0.1138259904653889, rel=1e-12)
     assert c4.M2 == pytest.approx(0.004557118148285142, rel=1e-12)
     # the P + Q/k assembly pushes M1, M2 to k-independent limits
@@ -166,27 +169,19 @@ def test_m_constants_anchors_and_scaling():
     ratio = ae_semigroup_error(c4, 1.0) / ae_semigroup_error(c6, 1.0)
     assert abs(ratio / 100.0 - 1.0) <= 1e-9
     with pytest.raises(InvalidParameterError):
-        m_constants(atom_cavity_ae(GAMMA, G_COUP, DRIVE), [DRIVE], [DRIVE])
-
-
-def test_m_constants_cache_shared_across_k():
-    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4)
-    m4, m8 = m.with_k(10**4), m.with_k(10**8)
-    assert m4._cache is m._cache and m8._cache is m._cache
-    c4, c8 = m_constants(m4, [DRIVE], [DRIVE]), m_constants(m8, [DRIVE], [DRIVE])
-    assert c4.k == 10**4 and c8.k == 10**8
+        m_constants(m, [DRIVE], [DRIVE], 0)
 
 
 def test_truncation_level_must_exceed_compositions():
     # J_max = 2 cannot hold the level-3 amplitudes of the composed correction
-    shallow = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=2).with_k(10**4)
+    shallow = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=2)
     with pytest.raises(InsufficientTruncationError):
-        m_constants(shallow, [DRIVE], [DRIVE])
+        m_constants(shallow, [DRIVE], [DRIVE], 10**4)
 
 
 def test_variant_error_reductions():
-    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4).with_k(10**6)
-    c = m_constants(m, [DRIVE], [DRIVE])
+    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4)
+    c = m_constants(m, [DRIVE], [DRIVE], 10**6)
     one = lambda t: 1.0
     two = lambda t: 2.0
     assert ae_variant_error(c, 1.0, one, one) == ae_semigroup_error(c, 1.0)
@@ -200,21 +195,24 @@ def test_variant_error_reductions():
 
 
 def test_ae_theorem_bound_assembly():
-    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4).with_k(10**6)
-    c = m_constants(m, [DRIVE], [DRIVE])
+    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4)
+    c = m_constants(m, [DRIVE], [DRIVE], 10**6)
     u0 = np.array([0.0, 1.0], dtype=complex)  # ground |-, 0>
     f = SimpleFunction.constant([DRIVE], 1.0)
     state = ApproxState([(u0, f)])
-    rep = ae_theorem_bound(m, (u0, f), state, f)
+    rep = ae_theorem_bound(m, (u0, f), state, f, 10**6)
     assert rep.mismatch == 0.0
     assert rep.k_scaling == pytest.approx(2.0 * rep.z_sum, rel=1e-15)
     assert rep.z_sum == pytest.approx(
         exp_norm(f) * (2.0 * c.M1 + 1.0 * c.M2) / c.k, rel=1e-13
     )
     assert rep.bound == pytest.approx(rep.recombined_bound(), rel=1e-14)
-    # without a scaling parameter the certificate is undefined
-    with pytest.raises(InvalidParameterError):
-        ae_theorem_bound(atom_cavity_ae(GAMMA, G_COUP, DRIVE), (u0, f), state, f)
+    # without a positive scaling parameter the certificate is undefined; the
+    # check comes before any norm of Q/k is taken (no division warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            ae_theorem_bound(m, (u0, f), state, f, 0)
 
 
 @pytest.mark.parametrize("u_scale, amplitude", [
@@ -223,12 +221,12 @@ def test_ae_theorem_bound_assembly():
     (1e154, 0.1),  # finite residual, 4 residual^2 overflows the bound
 ])
 def test_ae_theorem_bound_rejects_nonfinite_certificate(u_scale, amplitude):
-    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE).with_k(10**4)
+    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE)
     f = SimpleFunction.constant([DRIVE], 1.0)
     u0 = np.array([1.0, 0.0], dtype=complex)
     state = ApproxState([(u_scale * u0, SimpleFunction.constant([amplitude], 1.0))])
     with pytest.raises(NumericError):
-        ae_theorem_bound(m, (u0, f), state, f)
+        ae_theorem_bound(m, (u0, f), state, f, 10**4)
 
 
 def test_ae_certificate_table_small_run():
@@ -247,3 +245,21 @@ def test_ae_certificate_table_small_run():
     )
     assert res2 is None
     assert again[0].bound == reports[0].bound
+
+
+def test_ae_certificate_table_pooled_rows_equal_serial():
+    # the k-independent parts are computed once, before the pool maps the ks
+    rng = np.random.default_rng(3)
+    bp = np.linspace(0.0, 1.0, 5)
+    state = ApproxState([
+        (0.3 * rng.standard_normal(2) + 0j,
+         SimpleFunction(bp, DRIVE + 0.05 * rng.standard_normal((4, 1))))
+        for _ in range(3)
+    ])
+    ks = (10**4, 3 * 10**4, 10**5, 10**6, 10**7, 10**8)
+    serial, _ = ae_certificate_table(ks, state=state)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        pooled, _ = ae_certificate_table(
+            ks, state=state, pool_map=lambda fn, xs: list(pool.map(fn, xs)))
+    assert [r.k for r in serial] == list(ks)
+    assert [r.to_json() for r in pooled] == [r.to_json() for r in serial]

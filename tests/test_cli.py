@@ -376,6 +376,9 @@ def test_verify_quick(tmp_path):
     ["bound", "--constants", "c.json", "--partition", "0,1", "--model", "kerr"],
     ["bound", "--model", "m.json", "--partition", "0,1", "--k", "7"],
     ["bound", "--model", "m.json", "--partition", "0,1", "--alpha", "0.2"],
+    ["bound", "--model", "kerr", "--k", "3", "--seed", "9"],
+    ["bound", "--model", "kerr", "--k", "3", "--format", "csv"],
+    ["optimize", "--model", "kerr", "--format", "csv"],
 ])
 def test_flags_that_would_be_ignored_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

@@ -35,3 +35,14 @@ def test_every_exported_name_resolves():
         for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def test_readme_command_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                if line.startswith("qsdecert ")]
+    assert len(commands) >= 11
+    parser = qsdecert.cli._parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on a flag the command does not take

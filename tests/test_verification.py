@@ -114,6 +114,24 @@ def test_empirical_error_warns_on_unconverged_reference():
         empirical_truncation_error(drifty, 3, 12, [0.1], [0.1], 1.0, _basis(3, 4))
 
 
+def test_empirical_error_matrix_of_initial_vectors():
+    # columns are initial vectors: each distance equals its single-vector call
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    u[:, 0] = _basis(5, 6)
+    errs = empirical_truncation_error(FAMILY, 5, 15, [0.1], [0.1], 0.5, u)
+    assert errs.shape == (3,)
+    assert errs.tolist() == [
+        empirical_truncation_error(FAMILY, 5, 15, [0.1], [0.1], 0.5, u[:, n])
+        for n in range(3)
+    ]
+    drifty = ModelFamily(
+        "drifty", lambda k: kerr_cavity(25.0, 50.0 + 3.0 * k, -5.0 / 6.0, k), {}
+    )
+    with pytest.warns(ReferenceUnconvergedWarning):
+        empirical_truncation_error(drifty, 3, 12, [0.1], [0.1], 1.0, np.eye(4))
+
+
 def test_fock_oracle_validation():
     m = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 2)
     f = SimpleFunction.constant([0.1], 1.0)
