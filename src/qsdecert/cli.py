@@ -122,10 +122,11 @@ def cmd_kerr_table(parser, args) -> int:
     ks = _parse_k_list(parser, args)
     extra = {}
     if args.optimize:
-        result = _kerr_search(min(ks), args.alpha, args.t_final, args.seed)
+        result = _kerr_search(min(ks), args.alpha, args.t_final, args.seed or 0)
         state = result.state
         extra["J"] = result.cost
     else:
+        _reject(parser, args, "kerr-table without --optimize", ("seed",))
         # --use-paper-psi names the default: the bundled reference minimizer.
         state = kerr_reference_state(min(ks) + 1)
     reports = kerr_certificate_table(
@@ -329,12 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add_parser("kerr-table", help="Kerr cavity truncation benchmark")
-    _add_common(p, t_final=5.0, intervals=10)
+    _add_common(p, t_final=5.0, intervals=10,
+                seed_help="search seed, with --optimize only (default 0)")
+    # Unset stays None so that cmd_kerr_table can reject --seed without a search.
+    p.set_defaults(seed=None)
     p.add_argument("--k-list", default=KERR_DEFAULT_KS)
-    p.add_argument("--optimize", action="store_true",
-                   help="search for the approximant instead of the bundled one")
-    p.add_argument("--use-paper-psi", action="store_true",
-                   help="use the bundled reference minimizer (default)")
+    approximant = p.add_mutually_exclusive_group()
+    approximant.add_argument("--optimize", action="store_true",
+                             help="search for the approximant instead of the bundled one")
+    approximant.add_argument("--use-paper-psi", action="store_true",
+                             help="use the bundled reference minimizer (default)")
     p.set_defaults(func=cmd_kerr_table)
 
     p = add_parser("ae-table", help="atom-cavity elimination benchmark")

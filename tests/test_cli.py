@@ -82,6 +82,14 @@ def test_kerr_table_optimize_search(tmp_path):
     assert payload["rows"][0]["k"] == 2
 
 
+def test_kerr_table_optimize_seed_defaults_to_zero(tmp_path):
+    argv = ["kerr-table", "--k-list", "2", "--t-final", "0.5", "--optimize",
+            "--format", "json", "--out"]
+    assert main(argv + [str(tmp_path / "a.json")]) == 0
+    assert main(argv + [str(tmp_path / "b.json"), "--seed", "0"]) == 0
+    assert _read(tmp_path / "a.json") == _read(tmp_path / "b.json")
+
+
 def test_bound_builtin_kerr_matches_table_row(tmp_path):
     out = tmp_path / "bound.json"
     assert main(["bound", "--model", "kerr", "--k", "19", "--out", str(out)]) == 0
@@ -379,6 +387,8 @@ def test_verify_quick(tmp_path):
     ["bound", "--model", "kerr", "--k", "3", "--seed", "9"],
     ["bound", "--model", "kerr", "--k", "3", "--format", "csv"],
     ["optimize", "--model", "kerr", "--format", "csv"],
+    ["kerr-table", "--k-list", "5", "--seed", "9"],
+    ["kerr-table", "--k-list", "5", "--use-paper-psi", "--optimize", "--seed", "0"],
 ])
 def test_flags_that_would_be_ignored_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
-"""Ladder operators, tensor index conventions, and the matexp wrapper."""
+"""Ladder operators, tensor index conventions, and matexp's scaling, squaring
+and flush."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from qsdecert import (
     InvalidDimensionError,
@@ -12,12 +14,15 @@ from qsdecert import (
     basis_state,
     creation,
     flatten_index,
+    generator,
+    kerr_cavity,
     matexp,
     number,
     opnorm,
     projector,
     tensor,
 )
+from qsdecert.operators import THETA13
 
 
 def test_annihilation_entries():
@@ -117,3 +122,65 @@ def test_matexp_rejects_nonfinite():
         matexp(bad)
     with pytest.raises(NumericError):
         matexp(np.eye(2), np.inf)
+
+
+def _subnormal_parts(x):
+    parts = np.abs(np.asarray(x).view(float))
+    return int(np.count_nonzero((parts > 0.0) & (parts < np.finfo(float).tiny)))
+
+
+@pytest.mark.parametrize("t", [0.5, 4.5])
+def test_matexp_keeps_subnormals_out_of_damped_propagators(t):
+    # The k = 199 Kerr propagator is where scipy's squarings fill with
+    # subnormal numbers; the flushed result differs only below 1e-150.
+    g = generator(kerr_cavity(25.0, 50.0, -50.0 / 60.0, 199), [0.1], [0.1 + 0.03j]).matrix
+    ref = sla.expm(t * g)
+    got = matexp(g, t)
+    assert _subnormal_parts(ref) > 0
+    assert _subnormal_parts(got) == 0
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-150)
+
+
+def test_matexp_flush_is_relative():
+    # exp(-360) is about 4.5e-157: every entry lies below the flush ratio
+    # in absolute terms, and none may be zeroed.
+    nil = np.diag(np.full(5, 0.01 + 0.02j), 1)
+    a = -360.0 * np.eye(6) + nil
+    ref = sla.expm(a)
+    got = matexp(a)
+    assert 1e-157 < np.abs(ref).max() < 1e-156
+    assert np.count_nonzero(got) == np.count_nonzero(ref)
+    assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("norm1", [1e-3, 1.0, 30.0, 1e3, 1e4])
+def test_matexp_matches_scipy_across_scales(seed, norm1, monkeypatch):
+    # Non-normal, shifted so that no eigenvalue has positive real part, then
+    # scaled to the given 1-norm: covers matexp's own choice of squarings.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    x -= np.linalg.eigvals(x).real.max() * np.eye(10)
+    a = norm1 * x / np.linalg.norm(x, 1)
+    expm = sla.expm
+    ref = expm(a)
+    pade_norms = []
+
+    def recording_expm(m):
+        pade_norms.append(np.linalg.norm(m, 1))
+        return expm(m)
+
+    monkeypatch.setattr(sla, "expm", recording_expm)
+    assert np.linalg.norm(matexp(a) - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+    # One Pade step, on the least power-of-two scaling that brings the norm
+    # to THETA13: scipy's own squarings would bring the subnormals back.
+    assert len(pade_norms) == 1 and pade_norms[0] <= THETA13
+    assert norm1 <= THETA13 or pade_norms[0] > THETA13 / 2
+
+
+def test_matexp_rejects_overflowing_norm():
+    # Finite entries whose 1-norm (or product with t) is not finite.
+    with pytest.raises(NumericError):
+        matexp(np.full((2, 2), 1e308, dtype=complex))
+    with pytest.raises(NumericError):
+        matexp(np.full((2, 2), 1e200, dtype=complex), 1e200)

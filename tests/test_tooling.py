@@ -1,6 +1,7 @@
 """The benchmark's tracer and workloads, and every module's __all__, name
-program objects that exist."""
+program objects that exist; scipy's expm has only its known callers."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -46,3 +47,20 @@ def test_readme_command_examples_parse():
     parser = qsdecert.cli._parser()
     for argv in commands:
         parser.parse_args(argv)  # exits 2 on a flag the command does not take
+
+
+def test_scipy_expm_only_in_known_modules():
+    # operators.matexp flushes subnormals from its squarings; states._expm is
+    # the search's small-matrix exponential. Any other caller of scipy's expm
+    # would bypass matexp.
+    src = Path(qsdecert.__file__).resolve().parent
+    callers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (isinstance(node, ast.Attribute) and node.attr == "expm") or (
+                isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+                and any(alias.name == "expm" for alias in node.names)
+            )
+            if named:
+                callers.add(path.name)
+    assert callers == {"operators.py", "states.py"}
