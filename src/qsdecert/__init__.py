@@ -51,7 +51,7 @@ from .models import (
     model_to_json,
     truncate,
 )
-from .semigroup import Generator, SimpleFunction, chain, generator, propagate, refine_common
+from .semigroup import SimpleFunction, chain, generator, propagate, refine_common
 from .states import (
     ApproxState,
     OptimizeResult,
@@ -87,7 +87,6 @@ from .adiabatic import (
     ae_operators,
     ae_semigroup_error,
     ae_theorem_bound,
-    ae_variant_error,
     atom_cavity_ae,
     limit_coefficients,
     m_constants,

@@ -4,12 +4,17 @@ A strongly damped degree of freedom enters through the scaled generator
 decomposition k^2 Y + k A + B. The fast block Y is level-graded with a
 blockwise pseudo-inverse Ytilde supported off the slow space H0; the limit
 coefficients (S, L, H) live on H0 and the reduction error is controlled by
-two operator norms M1, M2 entering certificates at rate 1/k.
+two operator norms M1 = ||P1 + Q1/k||, M2 = ||P2 + Q2/k|| entering
+certificates at rate 1/k. The P's and Q's do not depend on k: a certificate
+builds them once per interval and takes each k's rates for all intervals as
+batched norms, so `AeConstants` and `ae_semigroup_error` take per-interval
+columns. k is a finite integer >= 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +28,9 @@ from .errors import (
 )
 from .models import SlhModel
 from .operators import adjoint, annihilation, creation, number, opnorm, tensor
-from .semigroup import SimpleFunction, generator, refine_common
+from .semigroup import SimpleFunction, _generators, generator, refine_common
 from .states import ApproxState, OptimizeResult, OptimizeSchedule, cost, optimize
-from .truncation import CertificateReport, assemble, coherent_mismatch
+from .truncation import CertificateReport, _finite_and, assemble, coherent_mismatch
 
 __all__ = [
     "AeModel",
@@ -34,7 +39,6 @@ __all__ = [
     "limit_coefficients",
     "m_constants",
     "ae_semigroup_error",
-    "ae_variant_error",
     "ae_theorem_bound",
     "oscillator_elimination",
     "atom_cavity_ae",
@@ -128,21 +132,34 @@ class AeModel:
         return f"AeModel({self.label!r}, dim={self.dim}, J_max={self.J_max})"
 
 
+def _scaling(k) -> int:
+    """k as an int; InvalidParameterError unless k is a finite integer >= 1."""
+    try:
+        if k >= 1 and math.isfinite(k) and k == int(k):
+            return int(k)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameterError(f"scaling parameter must be a finite integer >= 1, "
+                                f"got {k}")
+
+
 @dataclass(frozen=True)
 class AeConstants:
-    """Reduction-error rates at one (k, alpha, beta)."""
+    """Reduction-error rates M1, M2 at scaling parameter k.
+
+    M1 and M2 are scalars, or equal-length columns with one entry per
+    interval (compare such instances field by field, not with ==).
+    """
 
     M1: float
     M2: float
     k: float
-    alpha: complex = 0j
-    beta: complex = 0j
 
     def __post_init__(self):
-        if not (math.isfinite(self.M1) and math.isfinite(self.M2)):
-            raise InvalidParameterError("M1, M2 must be finite")
-        if not self.k > 0:
-            raise InvalidParameterError(f"scaling parameter must be positive, got {self.k}")
+        for name in ("M1", "M2"):
+            if not _finite_and(getattr(self, name), operator.ge):
+                raise InvalidParameterError(f"{name} must be finite and >= 0")
+        _scaling(self.k)
 
 
 def _amps(x, m):
@@ -231,12 +248,13 @@ def limit_coefficients(model: AeModel) -> SlhModel:
     )
 
 
-def _m_matrices(model: AeModel, reduced: SlhModel, alpha, beta):
+def _m_matrices(model: AeModel, G, alpha, beta):
     """k-affine split of the two M compositions restricted to H0.
 
-    reduced is limit_coefficients(model). Returns (P1, Q1, P2, Q2) with
-    M1 = ||P1 + Q1/k||, M2 = ||P2 + Q2/k||; raises if any composition
-    carries amplitude at or beyond the guard level J_max.
+    G is the generator of limit_coefficients(model) at (alpha, beta).
+    Returns (P1, Q1, P2, Q2) with M1 = ||P1 + Q1/k||, M2 = ||P2 + Q2/k||;
+    raises if any composition carries amplitude at or beyond the guard
+    level J_max.
     """
     alpha = _amps(alpha, model.m)
     beta = _amps(beta, model.m)
@@ -248,7 +266,7 @@ def _m_matrices(model: AeModel, reduced: SlhModel, alpha, beta):
     C = Bab - Aab @ Yt @ Aab
     YoA = Yt @ (off @ Aab)
     YoC = Yt @ (off @ C)
-    EL = E @ generator(reduced, alpha, beta).matrix
+    EL = E @ G
 
     P1 = YoA @ E
     Q1 = -YoC @ E
@@ -265,36 +283,37 @@ def _m_matrices(model: AeModel, reduced: SlhModel, alpha, beta):
     return P1, Q1, P2, Q2
 
 
-def _rates(matrices, k, alpha=0j, beta=0j) -> AeConstants:
-    """M1, M2 at scaling parameter k from _m_matrices' (P1, Q1, P2, Q2)."""
-    if not k > 0:
-        raise InvalidParameterError(f"scaling parameter must be positive, got {k}")
+def _rates(matrices, k) -> AeConstants:
+    """M1, M2 at scaling parameter k from _m_matrices' (P1, Q1, P2, Q2), or
+    per-interval columns of them from (n, d, d0) stacks of those matrices."""
+    k = _scaling(k)
     P1, Q1, P2, Q2 = matrices
-    return AeConstants(M1=opnorm(P1 + Q1 / k), M2=opnorm(P2 + Q2 / k), k=float(k),
-                       alpha=alpha, beta=beta)
+    M1, M2 = (np.linalg.norm(X, 2, axis=(-2, -1)) for X in (P1 + Q1 / k, P2 + Q2 / k))
+    return AeConstants(M1=M1, M2=M2, k=float(k))
 
 
 def m_constants(model: AeModel, alpha, beta, k) -> AeConstants:
     """Operator-norm rates M1, M2 at scaling parameter k."""
     a = _amps(alpha, model.m)
     b = _amps(beta, model.m)
-    return _rates(_m_matrices(model, limit_coefficients(model), a, b), k,
-                  alpha=complex(a[0]) if model.m == 1 else 0j,
-                  beta=complex(b[0]) if model.m == 1 else 0j)
+    return _rates(_m_matrices(model, generator(limit_coefficients(model), a, b), a, b), k)
 
 
-def ae_semigroup_error(const: AeConstants, t: float) -> float:
-    """(1/k)(2 M1 + t M2): reduced-vs-scaled semigroup error at time t."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    return (2.0 * const.M1 + t * const.M2) / const.k
+def ae_semigroup_error(const: AeConstants, t):
+    """(1/k)(2 M1 + t M2): reduced-vs-scaled semigroup error at time t.
 
-
-def ae_variant_error(const: AeConstants, t: float, N1, N2) -> float:
-    """(1/k)(M1 (N1(t) + N2(t)) + t M2) with caller-supplied envelopes."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    return (const.M1 * (float(N1(t)) + float(N2(t))) + t * const.M2) / const.k
+    M1, M2 and t are scalars or per-interval columns that broadcast against
+    each other; all-scalar input returns a float. Every t must be finite and
+    nonnegative.
+    """
+    t = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(t) & (t >= 0))
+    if bad.any():
+        raise InvalidParameterError(
+            f"time must be finite and nonnegative, got {t[bad].flat[0]}"
+        )
+    z = (2.0 * const.M1 + t * const.M2) / const.k
+    return float(z) if z.ndim == 0 else z
 
 
 def _ae_certifier(model: AeModel, reduced: SlhModel, psi, psi_prime: ApproxState,
@@ -303,24 +322,26 @@ def _ae_certifier(model: AeModel, reduced: SlhModel, psi, psi_prime: ApproxState
 
     reduced is limit_coefficients(model). The mismatch, the residual, and
     each term's common partition with f_prime and per-interval
-    (P1, Q1, P2, Q2) do not depend on k and are computed here once; the
-    returned function takes two norms per interval and assembles.
+    (P1, Q1, P2, Q2), stacked over the intervals, do not depend on k and are
+    computed here once; the returned function takes two batched norms per
+    term and assembles.
     """
     u, f = psi
     mismatch = coherent_mismatch(f, f_prime)
     residual = cost(reduced, (u, f_prime), psi_prime)
     refined = [refine_common(f_prime, gj) for _, gj in psi_prime.terms]
-    intervals = [
-        [(_m_matrices(model, reduced, a, b), float(dt))
-         for a, b, dt in zip(fr.values, gr.values, fr.durations())]
-        for fr, gr in refined
-    ]
+    terms = []
+    for fr, gr in refined:
+        Gs = _generators(reduced, fr.values, gr.values)
+        mats = [_m_matrices(model, G, a, b) for G, a, b in zip(Gs, fr.values, gr.values)]
+        terms.append(([np.stack(Ms) for Ms in zip(*mats)], fr.durations()))
 
     def certify(k) -> CertificateReport:
-        z_terms = [[ae_semigroup_error(_rates(mats, k), dt) for mats, dt in term]
-                   for term in intervals]
+        k = _scaling(k)
+        z_terms = [ae_semigroup_error(_rates(mats, k), dts).tolist()
+                   for mats, dts in terms]
         report = assemble(psi_prime, f_prime, mismatch, residual, z_terms,
-                          partition=refined[0][0].breakpoints, k=int(k))
+                          partition=refined[0][0].breakpoints, k=k)
         report.k_scaling = 2.0 * report.z_sum
         return report
 
@@ -333,9 +354,9 @@ def ae_theorem_bound(model: AeModel, psi, psi_prime: ApproxState,
 
     Here the computable propagator is the reduced limit model, so the
     residual chain runs on H0; the reduction error enters through the
-    (2/k)-scaled M sums recorded in the k_scaling column. k <= 0 raises
-    InvalidParameterError; a residual, z sum or bound that is not finite
-    raises NumericError.
+    (2/k)-scaled M sums recorded in the k_scaling column. A k that is not
+    a finite integer >= 1 raises InvalidParameterError; a residual, z sum or
+    bound that is not finite raises NumericError.
     """
     return _ae_certifier(model, limit_coefficients(model), psi, psi_prime, f_prime)(k)
 

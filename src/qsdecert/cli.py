@@ -151,7 +151,6 @@ def cmd_ae_table(parser, args) -> int:
         t_final=args.t_final,
         n_intervals=args.intervals,
         blocks=args.blocks,
-        seed=args.seed,
         pool_map=_pool_map,
     )
     extra = {"J": result.cost} if result is not None else {}
@@ -275,17 +274,17 @@ def cmd_optimize(parser, args) -> int:
     if args.model == "kerr":
         if args.intervals is not None or args.blocks is not None:
             parser.error("--intervals and --blocks apply to --model ae only")
-        result = _kerr_search(args.k or 19, args.alpha, args.t_final, args.seed)
+        result = _kerr_search(args.k or 19, args.alpha, args.t_final, args.seed or 0)
     else:
         if args.k is not None:
             parser.error("--k applies to --model kerr only")
+        _reject(parser, args, "--model ae", ("seed",))
         _, result = ae_certificate_table(
             (),
             alpha=args.alpha,
             t_final=args.t_final,
             n_intervals=1000 if args.intervals is None else args.intervals,
             blocks=100 if args.blocks is None else args.blocks,
-            seed=args.seed,
         )
     payload = {
         "cost": result.cost,
@@ -343,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kerr_table)
 
     p = add_parser("ae-table", help="atom-cavity elimination benchmark")
-    _add_common(p, t_final=1.0, intervals=1000, orders=False,
-                seed_help="accepted for symmetry; the block search is "
-                "deterministic and does not use it")
+    # No --seed: the block search is deterministic.
+    _add_common(p, t_final=1.0, intervals=1000, seed=False, orders=False)
     p.add_argument("--k-list", default=AE_DEFAULT_KS)
     p.add_argument("--blocks", type=int, default=100,
                    help="number of sequential optimization blocks")
@@ -367,7 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = add_parser("optimize", help="search for an approximant")
-    _add_common(p, t_final=5.0, intervals=None, orders=False, formats=("json",))
+    _add_common(p, t_final=5.0, intervals=None, orders=False, formats=("json",),
+                seed_help="search seed, --model kerr only (default 0)")
+    # Unset stays None so that cmd_optimize can reject --seed with --model ae.
+    p.set_defaults(seed=None)
     p.add_argument("--model", choices=("kerr", "ae"), default="kerr")
     p.add_argument("--blocks", type=int, help="--model ae only (default 100)")
     p.set_defaults(func=cmd_optimize)

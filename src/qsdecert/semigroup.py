@@ -1,15 +1,20 @@
 """Interaction-picture contraction semigroups over piecewise-constant drives.
 
-For a model (S, L, H) and constant channel amplitudes alpha, beta the matrix
+For a model (S, L, H) and constant channel amplitudes alpha (bra side) and
+beta (ket side) the matrix
 
-    G = sum_ij conj(a_i) S_ji^* b_j  - sum_ij conj(a_i) S_ji^* L_j
-        + sum_j L_j^* b_j + iH - (1/2) sum_i L_i^* L_i
-        - (|a|^2 + |b|^2)/2 * I
+    G(alpha, beta) = G0(alpha) + sum_j beta_j D_j(alpha) - (|beta|^2 / 2) I,
 
-generates a contraction semigroup t -> exp(t G). Matrix elements of the
-two-sided field displacement of the unitary cocycle factor over a common
-partition of piecewise-constant amplitudes as an ordered product of these
-semigroups; see :func:`chain`.
+    G0 = iH - (1/2) sum_i L_i^* L_i - sum_ij conj(a_i) S_ji^* L_j - (|a|^2 / 2) I,
+    D_j = L_j^* + sum_i conj(a_i) S_ji^*,
+
+generates a contraction semigroup t -> exp(t G). :func:`affine_basis` stacks
+(G0, D_1, ..., D_m, I) per bra row and :func:`affine_coefficients` the ket
+rows (1, beta, -|beta|^2 / 2); every generator is their contraction, and
+:func:`generator` is the one-row case. Matrix elements of the two-sided field
+displacement of the unitary cocycle factor over a common partition of
+piecewise-constant amplitudes as an ordered product of these semigroups; see
+:func:`chain`.
 
 Consecutive intervals with equal amplitudes share one generator, so by the
 semigroup law T(a) T(b) = T(a + b) the product computes one exponential per
@@ -17,8 +22,6 @@ maximal run of them, over the run's length read off the breakpoints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .operators import adjoint, matexp, opnorm
 
 __all__ = [
     "SimpleFunction",
-    "Generator",
     "generator",
     "affine_basis",
     "affine_coefficients",
@@ -157,56 +159,12 @@ def refine_common(f: SimpleFunction, g: SimpleFunction):
     return f.with_breakpoints(bp), g.with_breakpoints(bp)
 
 
-@dataclass
-class Generator:
-    """Generator of one (alpha, beta)-displaced contraction semigroup."""
-
-    matrix: np.ndarray
-    k: int | None
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def numerical_abscissa(self) -> float:
-        herm = 0.5 * (self.matrix + adjoint(self.matrix))
-        return float(np.linalg.eigvalsh(herm).max())
-
-
-def generator(model: SlhModel, alpha, beta) -> Generator:
-    """Assemble the semigroup generator for constant amplitudes."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    beta = np.atleast_1d(np.asarray(beta, dtype=complex))
-    if alpha.shape != (model.m,) or beta.shape != (model.m,):
-        raise InvalidAmplitudeError(
-            f"amplitudes must have length {model.m}, "
-            f"got {alpha.shape} and {beta.shape}"
-        )
-    dim = model.dim
-    G = np.zeros((dim, dim), dtype=complex)
-    for j in range(model.m):
-        Sd = [adjoint(model.S[j][i]) for i in range(model.m)]
-        for i in range(model.m):
-            G += np.conj(alpha[i]) * beta[j] * Sd[i]
-            G -= np.conj(alpha[i]) * (Sd[i] @ model.L[j])
-        G += beta[j] * adjoint(model.L[j])
-    G += 1j * model.H
-    for Li in model.L:
-        G -= 0.5 * (adjoint(Li) @ Li)
-    shift = 0.5 * (np.vdot(alpha, alpha).real + np.vdot(beta, beta).real)
-    G -= shift * np.eye(dim, dtype=complex)
-
-    gen = Generator(
-        matrix=G, k=model.params.get("k"), alpha=alpha.copy(), beta=beta.copy()
-    )
-    gen.matrix.setflags(write=False)
-    return gen
-
-
 def affine_basis(model: SlhModel, alphas) -> np.ndarray:
     """Stack (G0, D_1, ..., D_m, I) per bra amplitude row, shape (P, m+2, d, d).
 
     G(alpha_p, beta) = G0 + sum_j beta_j D_j - (|beta|^2 / 2) I is the basis
-    contracted with :func:`affine_coefficients`; it equals :func:`generator`,
-    the reference assembly, up to rounding.
+    contracted with :func:`affine_coefficients`. This is the one place a
+    generator is built from S, L and H; :func:`generator` is its one-row case.
     """
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.ndim != 2 or alphas.shape[1] != model.m:
@@ -245,11 +203,32 @@ def affine_coefficients(betas) -> np.ndarray:
     return coef
 
 
-def propagate(gen: Generator, t: float) -> np.ndarray:
-    """exp(t * G); checked to be a contraction up to roundoff."""
+def generator(model: SlhModel, alpha, beta) -> np.ndarray:
+    """G(alpha, beta) for constant amplitudes, as a read-only (d, d) matrix:
+    the one-row contraction of :func:`affine_basis` with
+    :func:`affine_coefficients`."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
+    beta = np.atleast_1d(np.asarray(beta, dtype=complex))
+    if alpha.shape != (model.m,) or beta.shape != (model.m,):
+        raise InvalidAmplitudeError(
+            f"amplitudes must have length {model.m}, "
+            f"got {alpha.shape} and {beta.shape}"
+        )
+    G = _generators(model, alpha[None], beta[None])[0]
+    G.setflags(write=False)
+    return G
+
+
+def _generators(model: SlhModel, alphas, betas) -> np.ndarray:
+    """G(alphas[p], betas[p]) for each row p of (P, m) amplitudes, shape (P, d, d)."""
+    return np.einsum("pk,pkij->pij", affine_coefficients(betas), affine_basis(model, alphas))
+
+
+def propagate(G: np.ndarray, t: float) -> np.ndarray:
+    """exp(t G); checked to be a contraction up to roundoff."""
     if t < 0:
         raise InvalidAmplitudeError(f"time must be nonnegative, got {t}")
-    T = matexp(gen.matrix, t)
+    T = matexp(G, t)
     nrm = opnorm(T)
     if nrm > 1.0 + CONTRACTION_TOL:
         raise ModelIntegrityError(
@@ -273,7 +252,8 @@ def chain(model: SlhModel, f: SimpleFunction, g: SimpleFunction, u) -> np.ndarra
     t_a to t_b, is applied as the single factor T^(f(a) g(a))_{t_b - t_a}.
     The length is the difference of the run's end breakpoints, not a sum of
     its interval lengths: lengths equal on paper differ in their last bits,
-    and the sum would carry one rounding per interval.
+    and the sum would carry one rounding per interval. The runs' generators
+    come from one :func:`affine_basis` contraction.
     """
     if f.m != model.m or g.m != model.m:
         raise InvalidAmplitudeError("channel count mismatch with model")
@@ -287,7 +267,7 @@ def chain(model: SlhModel, f: SimpleFunction, g: SimpleFunction, u) -> np.ndarra
     rows = np.hstack([f.values, g.values])
     starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
     ends = np.r_[starts[1:], f.n_intervals]
-    for a, b in zip(starts[::-1], ends[::-1]):
-        gen = generator(model, f.values[a], g.values[a])
-        u = propagate(gen, float(bp[b] - bp[a])) @ u
+    Gs = _generators(model, f.values[starts], g.values[starts])
+    for G, a, b in zip(Gs[::-1], starts[::-1], ends[::-1]):
+        u = propagate(G, float(bp[b] - bp[a])) @ u
     return u

@@ -86,7 +86,7 @@ MAX_ORDER_SUM = 1025
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Rates feeding z_bound, recorded with their provenance.
+    """Rates feeding z_bound, and the truncation level k they belong to.
 
     gamma, qL, qa, qe are scalars, or equal-length columns with one entry per
     interval (compare such instances field by field, not with ==).
@@ -97,8 +97,6 @@ class BoundConstants:
     qa: float
     qe: float
     k: int | None = None
-    alpha: complex = 0j
-    beta: complex = 0j
 
     def __post_init__(self):
         if not _finite_and(self.gamma, operator.gt):
@@ -231,8 +229,6 @@ def kerr_constants(k: int, alpha: complex, beta: complex, lam: float) -> BoundCo
         qa=abs(beta) * math.sqrt(lam * k),
         qe=abs(alpha) * math.sqrt(lam * (k + 1)) + abs(beta) * math.sqrt(lam * (k + 2)),
         k=k,
-        alpha=complex(alpha),
-        beta=complex(beta),
     )
 
 
@@ -254,8 +250,6 @@ def atom_cavity_constants(k: int, alpha: complex, beta: complex,
         qe=math.sqrt(k + 1) * (chi + abs(alpha) * rl)
         + math.sqrt(k + 2) * (chi + abs(beta) * rl),
         k=k,
-        alpha=complex(alpha),
-        beta=complex(beta),
     )
 
 

@@ -69,7 +69,7 @@ def ode_propagate(G, u, t: float, tol: float = ODE_DEFAULT_TOL) -> np.ndarray:
     or below tol. Raises NumericError if the controller underflows the step
     size, InvalidParameterError for tol outside [1e-12, 1e-6] or t < 0.
     """
-    G = np.asarray(getattr(G, "matrix", G), dtype=complex)
+    G = np.asarray(G, dtype=complex)
     u = np.asarray(u, dtype=complex)
     if G.ndim != 2 or G.shape[0] != G.shape[1] or u.shape != (G.shape[0],):
         raise InvalidDimensionError("generator/state dimension mismatch")
@@ -200,7 +200,7 @@ def fock_expand_residual(model: SlhModel, psi, psi_prime: ApproxState,
 
     u = np.asarray(u, dtype=complex)
     G = generator(model, f.values[0], g.values[0])
-    Tu2 = ode_propagate(G.matrix, np.asarray(u2, dtype=complex), f.t_final, tol=1e-12)
+    Tu2 = ode_propagate(G, np.asarray(u2, dtype=complex), f.t_final, tol=1e-12)
     gram_gg = _series_exp(g.norm_sq(), order).real
     res_sq = (
         float(np.vdot(u, u).real)
@@ -245,8 +245,8 @@ def _suite_matexp_vs_ode(quick: bool, rng: np.random.Generator) -> dict:
         u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         u /= np.linalg.norm(u)
         t = float(rng.uniform(0.1, 1.0))
-        v_exp = matexp(G.matrix, t) @ u
-        v_ode = ode_propagate(G.matrix, u, t, tol=1e-11)
+        v_exp = matexp(G, t) @ u
+        v_ode = ode_propagate(G, u, t, tol=1e-11)
         worst = max(worst, float(np.linalg.norm(v_exp - v_ode)))
     return {"max_error": worst, "tolerance": 1e-8, "cases": n_cases,
             "passed": worst <= 1e-8}
@@ -264,7 +264,7 @@ def _suite_contraction_and_law(quick: bool, rng: np.random.Generator) -> dict:
         G = generator(model, alpha, beta)
         s = float(rng.uniform(0.05, 0.6))
         t = float(rng.uniform(0.05, 0.6))
-        Ts, Tt, Tst = (matexp(G.matrix, x) for x in (s, t, s + t))
+        Ts, Tt, Tst = (matexp(G, x) for x in (s, t, s + t))
         worst_norm = max(worst_norm, opnorm(Tst) - 1.0, opnorm(Ts) - 1.0)
         worst_law = max(worst_law, opnorm(Tst - Ts @ Tt))
     return {

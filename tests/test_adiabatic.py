@@ -21,14 +21,15 @@ from qsdecert import (
     ae_operators,
     ae_semigroup_error,
     ae_theorem_bound,
-    ae_variant_error,
     atom_cavity_ae,
     exp_norm,
+    generator,
     limit_coefficients,
     m_constants,
     opnorm,
     oscillator_elimination,
 )
+from qsdecert.adiabatic import _m_matrices
 
 GAMMA, G_COUP, DRIVE = 25.0, 5.0, 0.1
 
@@ -153,6 +154,25 @@ def test_ae_constants_validation():
         AeConstants(M1=np.inf, M2=1.0, k=10.0)
     with pytest.raises(InvalidParameterError):
         AeConstants(M1=1.0, M2=1.0, k=0.0)
+    ones = np.ones(3)
+    AeConstants(M1=ones, M2=np.zeros(3), k=10.0)
+    with pytest.raises(InvalidParameterError):
+        AeConstants(M1=np.array([1.0, np.nan, 1.0]), M2=ones, k=10.0)
+    with pytest.raises(InvalidParameterError):
+        AeConstants(M1=ones, M2=np.array([1.0, -1e-300, 1.0]), k=10.0)
+
+
+def test_ae_semigroup_error_columns_and_times():
+    c = AeConstants(M1=np.array([1.0, 2.0, 3.0]), M2=np.array([0.5, 0.25, 0.0]), k=4.0)
+    t = np.array([0.0, 1.0, 2.0])
+    z = ae_semigroup_error(c, t)
+    assert z.tolist() == [(2.0 * m1 + ti * m2) / 4.0
+                          for m1, m2, ti in zip(c.M1, c.M2, t)]
+    scalar = AeConstants(M1=1.0, M2=0.5, k=4.0)
+    assert type(ae_semigroup_error(scalar, 1.0)) is float
+    for bad in (-0.1, np.nan, np.array([0.1, -0.1, 0.1]), np.array([0.1, np.nan, 0.1])):
+        with pytest.raises(InvalidParameterError):
+            ae_semigroup_error(c, bad)
 
 
 def test_m_constants_anchors_and_scaling():
@@ -179,21 +199,6 @@ def test_truncation_level_must_exceed_compositions():
         m_constants(shallow, [DRIVE], [DRIVE], 10**4)
 
 
-def test_variant_error_reductions():
-    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4)
-    c = m_constants(m, [DRIVE], [DRIVE], 10**6)
-    one = lambda t: 1.0
-    two = lambda t: 2.0
-    assert ae_variant_error(c, 1.0, one, one) == ae_semigroup_error(c, 1.0)
-    assert ae_variant_error(c, 0.7, two, two) == pytest.approx(
-        (4.0 * c.M1 + 0.7 * c.M2) / c.k, rel=1e-15
-    )
-    with pytest.raises(InvalidParameterError):
-        ae_semigroup_error(c, -0.1)
-    with pytest.raises(InvalidParameterError):
-        ae_variant_error(c, -0.1, one, one)
-
-
 def test_ae_theorem_bound_assembly():
     m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4)
     c = m_constants(m, [DRIVE], [DRIVE], 10**6)
@@ -213,6 +218,51 @@ def test_ae_theorem_bound_assembly():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameterError):
             ae_theorem_bound(m, (u0, f), state, f, 0)
+
+
+@pytest.mark.parametrize("k", [2.5, np.inf, np.nan, 0])
+def test_scaling_parameter_must_be_a_finite_integer(k):
+    # k = 2.5 used to certify at 2.5 and report k = 2; k = inf escaped as an
+    # OverflowError
+    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4)
+    u0 = np.array([0.0, 1.0], dtype=complex)
+    f = SimpleFunction.constant([DRIVE], 1.0)
+    state = ApproxState([(u0, f)])
+    with pytest.raises(InvalidParameterError):
+        ae_theorem_bound(m, (u0, f), state, f, k)
+    with pytest.raises(InvalidParameterError):
+        m_constants(m, [DRIVE], [DRIVE], k)
+    with pytest.raises(InvalidParameterError):
+        AeConstants(M1=1.0, M2=1.0, k=k)
+    assert ae_theorem_bound(m, (u0, f), state, f, 1e4).k == 10**4
+
+
+def test_ae_z_terms_equal_per_interval_norms():
+    # the certificate takes M1, M2 as one batched norm per term; each entry
+    # must equal the norms of that interval's matrices taken one at a time
+    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4)
+    reduced = limit_coefficients(m)
+    rng = np.random.default_rng(5)
+    bp = np.linspace(0.0, 1.0, 5)
+    state = ApproxState([
+        (0.3 * rng.standard_normal(2) + 0j,
+         SimpleFunction(bp, DRIVE + 0.05 * (rng.standard_normal((4, 1))
+                                            + 1j * rng.standard_normal((4, 1)))))
+        for _ in range(3)
+    ])
+    u0 = np.array([0.0, 1.0], dtype=complex)
+    f = SimpleFunction.constant([DRIVE], 1.0)
+    a = complex(DRIVE)
+    for k in (10**4, 3 * 10**4, 10**8):
+        report = ae_theorem_bound(m, (u0, f), state, f, k)
+        expected = []
+        for _, g in state.terms:
+            row = []
+            for b, dt in zip(g.values, g.durations()):
+                P1, Q1, P2, Q2 = _m_matrices(m, generator(reduced, [a], b), [a], b)
+                row.append((2.0 * opnorm(P1 + Q1 / k) + float(dt) * opnorm(P2 + Q2 / k)) / k)
+            expected.append(row)
+        assert report.z_terms == expected
 
 
 @pytest.mark.parametrize("u_scale, amplitude", [

@@ -389,6 +389,8 @@ def test_verify_quick(tmp_path):
     ["optimize", "--model", "kerr", "--format", "csv"],
     ["kerr-table", "--k-list", "5", "--seed", "9"],
     ["kerr-table", "--k-list", "5", "--use-paper-psi", "--optimize", "--seed", "0"],
+    ["ae-table", "--seed", "3"],
+    ["optimize", "--model", "ae", "--seed", "3"],
 ])
 def test_flags_that_would_be_ignored_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

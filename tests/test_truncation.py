@@ -28,7 +28,6 @@ from qsdecert import (
     c_sequence,
     coherent_mismatch,
     constants_for,
-    generator,
     interval_sum,
     kerr_cavity,
     kerr_constants,
@@ -448,18 +447,26 @@ def test_kerr_table_row_anchors():
 def _mp_kerr_residual(mp, k, alpha=0.1):
     """Residual of the Kerr table row at level k in mpmath arithmetic.
 
-    The inputs are the row's floats: the generator matrices, the reference
-    state's breakpoints, amplitudes and system vector. Only the arithmetic
-    on them is exact to the working precision; the drive is constant, so
-    the row's interval count does not enter.
+    The inputs are the row's floats: the model's S, L and H, the drive, and
+    the reference state's breakpoints, amplitudes and system vector. The
+    generators are assembled from them here, by the textbook one-channel
+    formula, so the oracle does not depend on how `generator` rounds. Only
+    the arithmetic on the inputs is exact to the working precision; the
+    drive is constant, so the row's interval count does not enter.
     """
     model = kerr_cavity(25.0, 50.0, -50.0 / 60.0, k)
+    S, L, H = (mp.matrix(np.asarray(X).tolist())
+               for X in (model.S[0][0], model.L[0], model.H))
+    eye = mp.eye(model.dim)
+    drive = mp.mpc(complex(alpha))
     ((uj, gj),) = kerr_reference_state(k + 1).terms
     dts = [mp.mpf(float(b)) - mp.mpf(float(a))
            for a, b in zip(gj.breakpoints[:-1], gj.breakpoints[1:])]
     v = mp.matrix([mp.mpc(complex(x)) for x in uj])
     for i in reversed(range(gj.n_intervals)):
-        G = mp.matrix(generator(model, [alpha], gj.values[i]).matrix.tolist())
+        beta = mp.mpc(complex(gj.values[i][0]))
+        G = (mp.conj(drive) * S.H * (beta * eye - L) + beta * L.H + mp.mpc(0, 1) * H
+             - L.H * L / 2 - (abs(drive) ** 2 + abs(beta) ** 2) / 2 * eye)
         v = mp.expm(G * dts[i]) * v
     g_sq = mp.fsum(dt * abs(mp.mpc(complex(val[0])))**2
                    for dt, val in zip(dts, gj.values))
@@ -472,7 +479,7 @@ def test_kerr_residual_matches_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         exact = _mp_kerr_residual(mpmath, 9)
-        assert abs(exact - mpmath.mpf("0.00961085929471557")) < 1e-17
+        assert abs(exact - mpmath.mpf("0.009610859294714875")) < 1e-17
         exact = float(exact)
     for n in (10, 13, 40):
         row = kerr_table_row(9, n_intervals=n)

@@ -74,8 +74,8 @@ def test_ode_propagate_matches_matexp():
         u /= np.linalg.norm(u)
         t = rng.uniform(0.1, 1.0)
         np.testing.assert_allclose(
-            ode_propagate(gen.matrix, u, t, tol=1e-11),
-            matexp(gen.matrix, t) @ u,
+            ode_propagate(gen, u, t, tol=1e-11),
+            matexp(gen, t) @ u,
             atol=1e-8,
         )
 
@@ -191,15 +191,9 @@ def test_dominance_suite_detects_drive_sign_flip(monkeypatch):
     real = sg.generator
 
     def flipped(model, alpha, beta):
-        gen = real(model, alpha, beta)
         beta_arr = np.atleast_1d(np.asarray(beta, dtype=complex))
         delta = sum(b * lj.conj().T for b, lj in zip(beta_arr, model.L))
-        return sg.Generator(
-            matrix=gen.matrix - 2.0 * delta,
-            k=gen.k,
-            alpha=gen.alpha,
-            beta=gen.beta,
-        )
+        return real(model, alpha, beta) - 2.0 * delta
 
     monkeypatch.setattr(V, "generator", flipped)
     try:
