@@ -83,15 +83,17 @@ class SlhModel:
                 f"product of factor_dims {factor_dims} != dim {dim}"
             )
 
-        if opnorm(H - adjoint(H)) > SELF_ADJOINT_TOL * max(1.0, opnorm(H)):
+        # An exactly zero defect passes without the SVDs of opnorm.
+        skew = H - adjoint(H)
+        if skew.any() and opnorm(skew) > SELF_ADJOINT_TOL * max(1.0, opnorm(H)):
             raise InvalidParameterError("Hamiltonian is not self-adjoint")
         # Block unitarity of S: sum_l S[j][l] S[i][l]^dag == delta_ji I.
         eye = np.eye(dim, dtype=complex)
         for j in range(m):
             for i in range(m):
                 acc = sum(S[j][l] @ adjoint(S[i][l]) for l in range(m))
-                target = eye if i == j else np.zeros_like(eye)
-                if opnorm(acc - target) > UNITARY_TOL * max(1.0, opnorm(acc)):
+                defect = acc - eye if i == j else acc
+                if defect.any() and opnorm(defect) > UNITARY_TOL * max(1.0, opnorm(acc)):
                     raise InvalidParameterError("scattering matrix is not unitary")
 
         self.label = str(label)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidDimensionError, InvalidIndexError, NumericError
 
@@ -104,6 +103,8 @@ def matexp(g: np.ndarray, t: float = 1.0) -> np.ndarray:
     if not np.isfinite(norm):
         raise NumericError("matrix 1-norm overflows")
     s = math.ceil(math.log2(norm / THETA13)) if norm > THETA13 else 0
+    import scipy.linalg  # loaded by the first exponential, not by import
+
     r = _flush(scipy.linalg.expm(a * 2.0**-s))
     for _ in range(s):
         r = _flush(r @ r)

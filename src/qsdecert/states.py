@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import InvalidApproximantError, NumericError, PartitionError
 from .models import SlhModel, decode_vector, encode_vector
@@ -53,14 +51,23 @@ SEARCH_PENALTY = 1e6
 _EPS = np.finfo(float).eps
 
 
+def _exp(x):
+    """np.exp(x); NumericError where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.exp(x)
+    if not np.isfinite(y):
+        raise NumericError(f"exp overflows at exponent {x}")
+    return y
+
+
 def exp_inner(f: SimpleFunction, g: SimpleFunction) -> complex:
     """<e(f), e(g)> = exp(<f, g>_L2), conjugate-linear in f."""
-    return complex(np.exp(f.inner(g)))
+    return complex(_exp(f.inner(g)))
 
 
 def exp_norm(f: SimpleFunction) -> float:
     """||e(f)|| = exp(||f||^2 / 2)."""
-    return float(np.exp(0.5 * f.norm_sq()))
+    return float(_exp(0.5 * f.norm_sq()))
 
 
 class ApproxState:
@@ -132,9 +139,12 @@ class ApproxState:
 def approx_norm(state: ApproxState) -> float:
     """|| sum_j u_j (x) e(g_j) || via the Gram matrix of the terms."""
     total = 0.0 + 0.0j
-    for ui, gi in state.terms:
-        for uj, gj in state.terms:
-            total += np.vdot(ui, uj) * exp_inner(gi, gj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ui, gi in state.terms:
+            for uj, gj in state.terms:
+                total += np.vdot(ui, uj) * exp_inner(gi, gj)
+    if not math.isfinite(total.real):
+        raise NumericError(f"squared approximant norm overflows ({total.real})")
     return math.sqrt(max(total.real, 0.0))
 
 
@@ -220,12 +230,16 @@ def _expm2(M: np.ndarray) -> np.ndarray:
     d2 = a * a + b * c
     d = np.sqrt(d2)
     small = np.abs(d) < 1e-6
-    # Series for cosh(d) and sinh(d)/d near d = 0. Each branch gets harmless
-    # arguments where the other one is taken, so neither warns.
-    z2 = np.where(small, d2, 0.0)
-    ch = np.where(small, 1.0 + z2 / 2.0 + z2 * z2 / 24.0, np.cosh(d))
-    sh = np.where(small, 1.0 + z2 / 6.0 + z2 * z2 / 120.0,
-                  np.sinh(d) / np.where(small, 1.0, d))
+    if not small.any():
+        ch = np.cosh(d)
+        sh = np.sinh(d) / d
+    else:
+        # Series for cosh(d) and sinh(d)/d near d = 0. Each branch gets
+        # harmless arguments where the other one is taken, so neither warns.
+        z2 = np.where(small, d2, 0.0)
+        ch = np.where(small, 1.0 + z2 / 2.0 + z2 * z2 / 24.0, np.cosh(d))
+        sh = np.where(small, 1.0 + z2 / 6.0 + z2 * z2 / 120.0,
+                      np.sinh(d) / np.where(small, 1.0, d))
     e = np.exp(mu)
     ec = e * ch
     es = e * sh
@@ -240,6 +254,8 @@ def _expm2(M: np.ndarray) -> np.ndarray:
 
 def _expm(M: np.ndarray) -> np.ndarray:
     """Dense exponential of one matrix; 2x2 stacks take _expm2 instead."""
+    import scipy.linalg
+
     return scipy.linalg.expm(M)
 
 
@@ -376,6 +392,35 @@ def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedu
     return evaluate
 
 
+def _nelder_mead(objective, x0, schedule: OptimizeSchedule, maxiter: int, adaptive: bool):
+    """scipy's Nelder-Mead from x0 at the schedule's tolerances."""
+    import scipy.optimize
+
+    return scipy.optimize.minimize(
+        objective,
+        x0,
+        method="Nelder-Mead",
+        options={
+            "maxiter": maxiter,
+            "fatol": schedule.fatol,
+            "xatol": schedule.xatol,
+            "adaptive": adaptive,
+        },
+    )
+
+
+def __getattr__(name):
+    # `states.scipy` is the scipy package with its optimizer loaded.
+    # perfbench/tracing.py wraps the searches' Nelder-Mead by replacing
+    # states.scipy.optimize.minimize, which _nelder_mead looks up on every
+    # call. Resolving the name on first use keeps scipy out of the import.
+    if name == "scipy":
+        import scipy.optimize
+
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
     evaluate = _joint_evaluator(model, psi, initial, schedule)
     x0, shapes = _pack_values(initial)
@@ -393,17 +438,7 @@ def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
     maxiter = schedule.max_iter or 400 * x0.size
     for trial in range(max(1, schedule.restarts)):
         start = x0 if trial == 0 else best_x + schedule.restart_scale * rng.standard_normal(x0.size)
-        res = scipy.optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": maxiter,
-                "fatol": schedule.fatol,
-                "xatol": schedule.xatol,
-                "adaptive": x0.size > 12,
-            },
-        )
+        res = _nelder_mead(objective, start, schedule, maxiter, x0.size > 12)
         nfev += res.nfev
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x
@@ -535,17 +570,8 @@ class _BlockOptimizer:
                 return value
 
             x0 = np.concatenate([vj_cur.ravel().real, vj_cur.ravel().imag])
-            res = scipy.optimize.minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": self.schedule.max_iter or 120 * x0.size,
-                    "fatol": self.schedule.fatol,
-                    "xatol": self.schedule.xatol,
-                    "adaptive": True,
-                },
-            )
+            res = _nelder_mead(objective, x0, self.schedule,
+                               self.schedule.max_iter or 120 * x0.size, True)
             self.vals[j, lo:hi] = (res.x[:k] + 1j * res.x[k:]).reshape(nb, self.m)
 
         # Re-solve the system vectors with every block at its current value.

@@ -296,12 +296,12 @@ def test_bound_bad_amplitudes_exit_cleanly(tmp_path, capsys):
 
 
 def test_linalg_failure_exits_cleanly(monkeypatch, capsys):
-    import qsdecert.operators
+    import scipy.linalg
 
     def broken_expm(a):
         raise np.linalg.LinAlgError("injected failure")
 
-    monkeypatch.setattr(qsdecert.operators.scipy.linalg, "expm", broken_expm)
+    monkeypatch.setattr(scipy.linalg, "expm", broken_expm)
     rc = main(["bound", "--model", "kerr", "--k", "3"])
     assert rc == 1
     captured = capsys.readouterr()

@@ -18,6 +18,8 @@ from qsdecert import (
     truncate,
 )
 
+from qsdecert.models import SELF_ADJOINT_TOL, UNITARY_TOL
+
 LAM, DELTA, CHI = 25.0, 50.0, -50.0 / 60.0
 
 
@@ -94,6 +96,23 @@ def test_slh_model_validation():
                      np.zeros((2, 2)))
         with pytest.raises(InvalidParameterError):
             SlhModel("bad", ((np.diag([1.0, bad]),),), (a,), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("scale, passes", [(0.5, True), (2.0, False)])
+def test_validation_tolerance_boundaries(scale, passes):
+    eye = np.eye(2)
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    # H - H^dag = 2c [[0, 1], [-1, 0]] has norm 2c = scale * tol, and ||H|| < 1.
+    c = 0.5 * scale * SELF_ADJOINT_TOL
+    H = 0.5 * eye + c * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    # S S^dag - I = ((1 + e)^2 - 1) I has norm about 2e = scale * tol.
+    S = (1.0 + 0.5 * scale * UNITARY_TOL) * eye
+    for args in (((eye,),), (a,), H), (((S,),), (a,), 0.5 * eye):
+        if passes:
+            SlhModel("near", *args)
+        else:
+            with pytest.raises(InvalidParameterError):
+                SlhModel("near", *args)
 
 
 def test_truncate_matches_direct_construction():

@@ -45,6 +45,23 @@ def test_exp_inner_and_norm():
     assert exp_inner(f, g) == pytest.approx(np.exp(0.1j), rel=1e-15)
 
 
+def test_exp_overflow_is_a_numeric_error():
+    g = SimpleFunction.constant([30.0], 1.0)  # ||g||^2 = 900 > log(max float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            exp_inner(g, g)
+        assert math.isfinite(exp_norm(g))
+        with pytest.raises(NumericError):
+            exp_norm(SimpleFunction.constant([40.0], 1.0))
+        with pytest.raises(NumericError):
+            ApproxState([(_e(0), g)]).norm()
+        # finite Gram entries whose weighted sum overflows
+        big = ApproxState([(1e150 * _e(0), SimpleFunction.constant([20.0], 1.0))])
+        with pytest.raises(NumericError):
+            approx_norm(big)
+
+
 def test_approx_state_validation():
     f = SimpleFunction.constant([0.1], 1.0)
     with pytest.raises(InvalidApproximantError):
