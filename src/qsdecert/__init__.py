@@ -76,6 +76,7 @@ from .truncation import (
     kerr_certificate_table,
     kerr_constants,
     kerr_reference_state,
+    kerr_search,
     kerr_table_row,
     theorem_bound,
     z_bound,

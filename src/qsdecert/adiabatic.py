@@ -509,21 +509,21 @@ def atom_cavity_ae(gamma: float, g: float, alpha_drive: complex,
 def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
                          gamma: float = 25.0, g: float = 5.0,
                          alpha: complex = 0.1, t_final: float = 1.0,
-                         n_intervals: int = 1000, n_terms: int = 5,
-                         blocks: int = 100, seed: int = 0, J_max: int = 4,
-                         state: ApproxState | None = None,
-                         schedule: OptimizeSchedule | None = None,
+                         n_intervals: int = 1000, blocks: int = 100,
+                         seed: int = 0, state: ApproxState | None = None,
                          pool_map=None):
     """Certificates for the driven atom-cavity reduction over a k sweep.
 
-    The approximant, its residual and its M matrices are k-independent and
-    computed once on the reduced model; pool_map, an order-preserving map,
-    runs only each k's norms and assembly. Both search stages run the
+    The defaults are the paper's scenario. The model is atom_cavity_ae at its
+    own guard level, and the approximant has 5 terms. The approximant, its
+    residual and its M matrices are k-independent and computed once on the
+    reduced model; pool_map, an order-preserving map, runs only each k's
+    norms and assembly. Both search stages run the
     sequential block optimizer, which is deterministic and does not use
     `seed`: any seed gives the same state. Returns (reports, optimization
     result or None if a state was supplied).
     """
-    model = atom_cavity_ae(gamma, g, alpha, J_max)
+    model = atom_cavity_ae(gamma, g, alpha)
     reduced = limit_coefficients(model)
     u0 = np.array([0.0, 1.0], dtype=complex)  # |-, 0> in H0 coordinates
     f = SimpleFunction.constant([alpha], t_final)
@@ -539,7 +539,7 @@ def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
         init = ApproxState(
             [(u0.copy(), SimpleFunction(coarse_bp, np.full((n_coarse, 1), alpha,
                                                            dtype=complex)))
-             for _ in range(n_terms)],
+             for _ in range(5)],
             label="ae sequential-block minimizer",
         )
         coarse = optimize(reduced, (u0, f), init,
@@ -550,11 +550,10 @@ def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
             [(u, g.with_breakpoints(breakpoints)) for u, g in coarse.state.terms],
             label=coarse.state.label,
         )
-        if schedule is None:
-            schedule = OptimizeSchedule(
-                seed=seed, block_size=max(1, n_intervals // blocks),
-                max_iter=150, u_penalty=COEFF_DAMPING,
-            )
+        schedule = OptimizeSchedule(
+            seed=seed, block_size=max(1, n_intervals // blocks),
+            max_iter=150, u_penalty=COEFF_DAMPING,
+        )
         result = optimize(reduced, (u0, f), refined, schedule)
         state = result.state
         result = OptimizeResult(

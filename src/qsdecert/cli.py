@@ -9,6 +9,9 @@ bound        generic certificate evaluator (builtin model, model file, or
 optimize     run the approximant search and emit the minimizer as JSON
 verify       run the oracle cross-check suite
 
+Unset flags take the library's values for the paper's two scenarios; --k and
+--k-list are exclusive, and levels must be integers >= 1.
+
 All outputs are deterministic for a fixed --seed. bound, optimize and verify
 print JSON only; the tables default to CSV, whose rows follow the stable
 schema "k,r,s,t,z_sum,residual,mismatch,bound" (level-scaling tables append a
@@ -30,24 +33,19 @@ import numpy as np
 
 from .adiabatic import ae_certificate_table
 from .errors import InvalidParameterError, NumericError, PartitionError, QsdeCertError
-from .models import kerr_cavity, model_from_json
-from .operators import basis_state
-from .semigroup import SimpleFunction
-from .states import ApproxState, OptimizeSchedule, optimize
+from .models import model_from_json
 from .truncation import (
     CSV_HEADER,
+    KERR_KS,
     BoundConstants,
     CertificateReport,
     constants_for,
     interval_sum,
     kerr_certificate_table,
-    kerr_reference_state,
+    kerr_search,
     kerr_table_row,
 )
 from .verification import run_suite
-
-KERR_DEFAULT_KS = "19,29,39,49,59,69,79,89,99"
-AE_DEFAULT_KS = "10000,100000,1000000,10000000,100000000"
 
 
 def _pool_map(fn, items):
@@ -91,67 +89,56 @@ def _render_reports(reports, fmt: str, extra: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_k_list(parser, args) -> list[int]:
-    if getattr(args, "k", None) is not None:
-        ks = [args.k]
-    else:
-        try:
-            ks = [int(x) for x in args.k_list.split(",") if x.strip()]
-        except ValueError:
-            parser.error(f"--k-list must be comma-separated integers, got {args.k_list!r}")
-    if not ks or any(k < 1 for k in ks):
-        parser.error("truncation/scaling levels must be integers >= 1")
-    return sorted(ks)
+def _level(text: str) -> int:
+    """argparse type of a truncation or scaling level: an integer >= 1."""
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"levels must be >= 1, got {k}")
+    return k
 
 
-def _kerr_search(k: int, alpha: complex, t_final: float, seed: int):
-    """Cold-start joint search for the Kerr benchmark approximant."""
-    model = kerr_cavity(lam=25.0, delta=50.0, chi=-50.0 / 60.0, k=k)
-    f = SimpleFunction.constant([alpha], t_final)
-    template = SimpleFunction(
-        np.array([0.0, 0.1 * t_final, t_final]),
-        np.full((2, 1), alpha, dtype=complex),
-    )
-    u0 = basis_state(k + 1, 0).astype(complex)
-    init = ApproxState([(u0, template)], label="kerr optimized minimizer")
-    schedule = OptimizeSchedule(seed=seed, u_support=3)
-    return optimize(model, (u0, f), init, schedule)
+def _levels(text: str) -> list[int]:
+    """argparse type of --k-list: comma-separated levels, returned sorted."""
+    ks = sorted(_level(x) for x in text.split(",") if x.strip())
+    if not ks:
+        raise argparse.ArgumentTypeError("no level given")
+    return ks
+
+
+def _given(**values) -> dict:
+    """Keyword arguments of the given flags; unset (None) ones take library defaults."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _ks(args) -> list[int] | None:
+    """The levels given by --k or --k-list, or None."""
+    return [args.k] if args.k is not None else args.k_list
 
 
 def cmd_kerr_table(parser, args) -> int:
-    ks = _parse_k_list(parser, args)
+    ks = _ks(args) or KERR_KS
+    drive = _given(alpha=args.alpha, t_final=args.t_final)
     extra = {}
+    state = None  # the bundled reference minimizer, which --use-paper-psi names
     if args.optimize:
-        result = _kerr_search(min(ks), args.alpha, args.t_final, args.seed or 0)
+        result = kerr_search(min(ks), **drive, **_given(seed=args.seed))
         state = result.state
         extra["J"] = result.cost
     else:
         _reject(parser, args, "kerr-table without --optimize", ("seed",))
-        # --use-paper-psi names the default: the bundled reference minimizer.
-        state = kerr_reference_state(min(ks) + 1)
     reports = kerr_certificate_table(
-        ks,
-        pool_map=_pool_map,
-        alpha=args.alpha,
-        t_final=args.t_final,
-        n_intervals=args.intervals,
-        r=args.r,
-        s=args.s,
-        state=state,
+        ks, pool_map=_pool_map, r=args.r, s=args.s, state=state,
+        **drive, **_given(n_intervals=args.intervals),
     )
     _emit(_render_reports(reports, args.format, extra), args.out)
     return 0
 
 
 def cmd_ae_table(parser, args) -> int:
-    ks = _parse_k_list(parser, args)
     reports, result = ae_certificate_table(
-        ks,
-        alpha=args.alpha,
-        t_final=args.t_final,
-        n_intervals=args.intervals,
-        blocks=args.blocks,
         pool_map=_pool_map,
+        **_given(k_list=_ks(args), alpha=args.alpha, t_final=args.t_final,
+                 n_intervals=args.intervals, blocks=args.blocks),
     )
     extra = {"J": result.cost} if result is not None else {}
     _emit(_render_reports(reports, args.format, extra), args.out)
@@ -217,12 +204,10 @@ def cmd_bound(parser, args) -> int:
     if args.model == "kerr" and args.constants is None:
         if args.k is None:
             parser.error("builtin kerr evaluation needs --k")
-        if args.k < 1:
-            parser.error("truncation level must be >= 1")
         _reject(parser, args, "builtin kerr evaluation", ("partition", "amplitudes"))
-        given = {"alpha": args.alpha, "t_final": args.t_final, "n_intervals": args.intervals}
         report = kerr_table_row(args.k, r=args.r, s=args.s,
-                                **{key: v for key, v in given.items() if v is not None})
+                                **_given(alpha=args.alpha, t_final=args.t_final,
+                                         n_intervals=args.intervals))
         _emit(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", args.out)
         return 0
 
@@ -272,19 +257,14 @@ def cmd_bound(parser, args) -> int:
 
 def cmd_optimize(parser, args) -> int:
     if args.model == "kerr":
-        if args.intervals is not None or args.blocks is not None:
-            parser.error("--intervals and --blocks apply to --model ae only")
-        result = _kerr_search(args.k or 19, args.alpha, args.t_final, args.seed or 0)
+        _reject(parser, args, "--model kerr", ("intervals", "blocks"))
+        result = kerr_search(**_given(k=args.k, alpha=args.alpha,
+                                      t_final=args.t_final, seed=args.seed))
     else:
-        if args.k is not None:
-            parser.error("--k applies to --model kerr only")
-        _reject(parser, args, "--model ae", ("seed",))
+        _reject(parser, args, "--model ae", ("k", "seed"))
         _, result = ae_certificate_table(
-            (),
-            alpha=args.alpha,
-            t_final=args.t_final,
-            n_intervals=1000 if args.intervals is None else args.intervals,
-            blocks=100 if args.blocks is None else args.blocks,
+            (), **_given(alpha=args.alpha, t_final=args.t_final,
+                         n_intervals=args.intervals, blocks=args.blocks),
         )
     payload = {
         "cost": result.cost,
@@ -297,22 +277,27 @@ def cmd_optimize(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    report = run_suite(quick=args.quick, seed=args.seed)
+    report = run_suite(quick=args.quick, **_given(seed=args.seed))
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0 if report["passed"] else 1
 
 
-def _add_common(p, *, t_final, intervals, seed=True, seed_help=None, orders=True,
+def _add_common(p, *, k_list=False, seed=True, seed_help=None, orders=True,
                 formats=("csv", "json")):
-    p.add_argument("--k", type=int, default=None, help="single level")
+    # Unset scenario flags stay None, and _given leaves them out of library calls.
+    levels = p.add_mutually_exclusive_group() if k_list else p
+    levels.add_argument("--k", type=_level, help="single level")
+    if k_list:
+        levels.add_argument("--k-list", type=_levels,
+                            help="comma-separated levels (default: the paper's)")
     if orders:
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--s", type=int, default=2)
-    p.add_argument("--t-final", type=float, default=t_final, dest="t_final")
-    p.add_argument("--intervals", type=int, default=intervals)
-    p.add_argument("--alpha", type=complex, default=0.1 + 0j)
+    p.add_argument("--t-final", type=float, dest="t_final")
+    p.add_argument("--intervals", type=int)
+    p.add_argument("--alpha", type=complex)
     if seed:
-        p.add_argument("--seed", type=int, default=0, help=seed_help)
+        p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=formats, default=formats[0])
 
@@ -329,11 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add_parser("kerr-table", help="Kerr cavity truncation benchmark")
-    _add_common(p, t_final=5.0, intervals=10,
+    _add_common(p, k_list=True,
                 seed_help="search seed, with --optimize only (default 0)")
-    # Unset stays None so that cmd_kerr_table can reject --seed without a search.
-    p.set_defaults(seed=None)
-    p.add_argument("--k-list", default=KERR_DEFAULT_KS)
     approximant = p.add_mutually_exclusive_group()
     approximant.add_argument("--optimize", action="store_true",
                              help="search for the approximant instead of the bundled one")
@@ -343,17 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("ae-table", help="atom-cavity elimination benchmark")
     # No --seed: the block search is deterministic.
-    _add_common(p, t_final=1.0, intervals=1000, seed=False, orders=False)
-    p.add_argument("--k-list", default=AE_DEFAULT_KS)
-    p.add_argument("--blocks", type=int, default=100,
+    _add_common(p, k_list=True, seed=False, orders=False)
+    p.add_argument("--blocks", type=int,
                    help="number of sequential optimization blocks")
     p.set_defaults(func=cmd_ae_table)
 
     p = add_parser("bound", help="generic certificate evaluator")
-    _add_common(p, t_final=None, intervals=None, seed=False, formats=("json",))
-    # Unset flags stay None so that cmd_bound can reject the ones a route
-    # ignores; builtin kerr evaluation falls back to kerr_table_row's defaults.
-    p.set_defaults(alpha=None)
+    _add_common(p, seed=False, formats=("json",))
     p.add_argument("--model", default=None,
                    help="'kerr' or a path to a model JSON file")
     p.add_argument("--constants", default=None,
@@ -365,17 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = add_parser("optimize", help="search for an approximant")
-    _add_common(p, t_final=5.0, intervals=None, orders=False, formats=("json",),
+    _add_common(p, orders=False, formats=("json",),
                 seed_help="search seed, --model kerr only (default 0)")
-    # Unset stays None so that cmd_optimize can reject --seed with --model ae.
-    p.set_defaults(seed=None)
     p.add_argument("--model", choices=("kerr", "ae"), default="kerr")
     p.add_argument("--blocks", type=int, help="--model ae only (default 100)")
     p.set_defaults(func=cmd_optimize)
 
     p = add_parser("verify", help="run the oracle cross-check suite")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -48,6 +48,11 @@ __all__ = [
 
 # Penalty returned to the simplex when a candidate produces a non-finite cost.
 SEARCH_PENALTY = 1e6
+# Nelder-Mead tolerances on the simplex's costs and vertices. The joint search
+# runs RESTARTS simplex searches, each after the first from the best point so
+# far plus RESTART_SCALE times a seeded standard normal draw.
+FATOL, XATOL = 1e-10, 1e-7
+RESTARTS, RESTART_SCALE = 3, 0.05
 _EPS = np.finfo(float).eps
 
 
@@ -86,8 +91,10 @@ class ApproxState:
                 raise PartitionError("terms do not share a final time")
             if u.ndim != 1 or not np.all(np.isfinite(u.view(float))):
                 raise InvalidApproximantError("system vectors must be finite 1-d")
-            if np.linalg.norm(u) == 0.0:
-                raise InvalidApproximantError("system vectors must be nonzero")
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(u)
+            if not 0.0 < norm < math.inf:
+                raise InvalidApproximantError("system vectors need a finite, nonzero norm")
         self.terms = [(u.copy(), g) for u, g in terms]
         for u, _ in self.terms:
             u.setflags(write=False)
@@ -199,16 +206,14 @@ class OptimizeSchedule:
     coefficients -- the exact minimizer of an ill-conditioned Gram system
     cancels huge terms against each other, which is poison for certificates
     whose rate sums are weighted by sum_j ||u_j||. The reported cost is
-    always the true undamped residual.
+    always the true undamped residual. seed draws the joint search's restart
+    points; the tolerances and restarts are the constants FATOL, XATOL,
+    RESTARTS and RESTART_SCALE.
     """
 
     seed: int = 0
-    restarts: int = 3
     max_iter: int | None = None
-    fatol: float = 1e-10
-    xatol: float = 1e-7
     u_support: int | None = None
-    restart_scale: float = 0.05
     block_size: int | None = None
     u_penalty: float = 0.0
 
@@ -392,8 +397,8 @@ def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedu
     return evaluate
 
 
-def _nelder_mead(objective, x0, schedule: OptimizeSchedule, maxiter: int, adaptive: bool):
-    """scipy's Nelder-Mead from x0 at the schedule's tolerances."""
+def _nelder_mead(objective, x0, maxiter: int, adaptive: bool):
+    """scipy's Nelder-Mead from x0 at the tolerances FATOL and XATOL."""
     import scipy.optimize
 
     return scipy.optimize.minimize(
@@ -402,8 +407,8 @@ def _nelder_mead(objective, x0, schedule: OptimizeSchedule, maxiter: int, adapti
         method="Nelder-Mead",
         options={
             "maxiter": maxiter,
-            "fatol": schedule.fatol,
-            "xatol": schedule.xatol,
+            "fatol": FATOL,
+            "xatol": XATOL,
             "adaptive": adaptive,
         },
     )
@@ -436,9 +441,9 @@ def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
     best_x, best_val = x0, objective(x0)
     nfev = 1
     maxiter = schedule.max_iter or 400 * x0.size
-    for trial in range(max(1, schedule.restarts)):
-        start = x0 if trial == 0 else best_x + schedule.restart_scale * rng.standard_normal(x0.size)
-        res = _nelder_mead(objective, start, schedule, maxiter, x0.size > 12)
+    for trial in range(RESTARTS):
+        start = x0 if trial == 0 else best_x + RESTART_SCALE * rng.standard_normal(x0.size)
+        res = _nelder_mead(objective, start, maxiter, x0.size > 12)
         nfev += res.nfev
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x
@@ -570,8 +575,7 @@ class _BlockOptimizer:
                 return value
 
             x0 = np.concatenate([vj_cur.ravel().real, vj_cur.ravel().imag])
-            res = _nelder_mead(objective, x0, self.schedule,
-                               self.schedule.max_iter or 120 * x0.size, True)
+            res = _nelder_mead(objective, x0, self.schedule.max_iter or 120 * x0.size, True)
             self.vals[j, lo:hi] = (res.x[:k] + 1j * res.x[k:]).reshape(nb, self.m)
 
         # Re-solve the system vectors with every block at its current value.

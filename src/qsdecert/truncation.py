@@ -26,7 +26,7 @@ from .errors import (
 from .models import SlhModel, kerr_cavity
 from .operators import basis_state
 from .semigroup import SimpleFunction, refine_common
-from .states import ApproxState, cost, exp_norm
+from .states import ApproxState, OptimizeResult, OptimizeSchedule, cost, exp_norm, optimize
 
 __all__ = [
     "BoundConstants",
@@ -42,6 +42,7 @@ __all__ = [
     "assemble",
     "theorem_bound",
     "kerr_reference_state",
+    "kerr_search",
     "kerr_table_row",
     "kerr_certificate_table",
 ]
@@ -429,6 +430,14 @@ def theorem_bound(model: SlhModel, psi, psi_prime: ApproxState,
 # Kerr benchmark scenario
 # ---------------------------------------------------------------------------
 
+# The paper's Kerr cavity: coupling lam, detuning delta and Kerr strength
+# chi = -delta / 60, driven at KERR_ALPHA up to KERR_T_FINAL and certified at
+# the cutoffs KERR_KS. Both the search and the table rows default to them.
+KERR_LAM, KERR_DELTA = 25.0, 50.0
+KERR_CHI = -KERR_DELTA / 60.0
+KERR_ALPHA, KERR_T_FINAL = 0.1, 5.0
+KERR_KS = (19, 29, 39, 49, 59, 69, 79, 89, 99)
+
 # Reference minimizer for the Kerr benchmark (coefficients of *normalized*
 # coherent components; the loader rescales them to raw exponential-vector
 # coefficients).
@@ -446,15 +455,24 @@ def kerr_reference_state(dim: int) -> ApproxState:
     return ApproxState([(u, g)], label="kerr reference minimizer")
 
 
-def kerr_table_row(k: int, *, lam: float = 25.0, delta: float = 50.0,
-                   chi: float | None = None, alpha: complex = 0.1,
-                   t_final: float = 5.0, n_intervals: int = 10,
+def kerr_search(k: int = KERR_KS[0], *, alpha: complex = KERR_ALPHA,
+                t_final: float = KERR_T_FINAL, seed: int = 0) -> OptimizeResult:
+    """Cold-start joint search for the Kerr benchmark approximant at level k."""
+    model = kerr_cavity(KERR_LAM, KERR_DELTA, KERR_CHI, k)
+    f = SimpleFunction.constant([alpha], t_final)
+    template = SimpleFunction([0.0, 0.1 * t_final, t_final], [[alpha], [alpha]])
+    u0 = basis_state(k + 1, 0).astype(complex)
+    init = ApproxState([(u0, template)], label="kerr optimized minimizer")
+    schedule = OptimizeSchedule(seed=seed, u_support=3)
+    return optimize(model, (u0, f), init, schedule)
+
+
+def kerr_table_row(k: int, *, alpha: complex = KERR_ALPHA,
+                   t_final: float = KERR_T_FINAL, n_intervals: int = 10,
                    r: int = 2, s: int = 2,
                    state: ApproxState | None = None) -> CertificateReport:
     """One Kerr benchmark certificate at truncation level k."""
-    if chi is None:
-        chi = -delta / 60.0
-    model = kerr_cavity(lam, delta, chi, k)
+    model = kerr_cavity(KERR_LAM, KERR_DELTA, KERR_CHI, k)
     breakpoints = np.linspace(0.0, t_final, n_intervals + 1)
     f = SimpleFunction(breakpoints, np.full((n_intervals, 1), alpha, dtype=complex))
     u = basis_state(k + 1, 0)

@@ -29,11 +29,11 @@ from .errors import (
     NumericError,
     ReferenceUnconvergedWarning,
 )
-from .models import ModelFamily, SlhModel, _fock_embedding, kerr_family
+from .models import ModelFamily, SlhModel, _fock_embedding, kerr_cavity, kerr_family
 from .operators import matexp, opnorm
 from .semigroup import SimpleFunction, generator, propagate
 from .states import ApproxState, residual_norm
-from .truncation import constants_for, z_bound
+from .truncation import KERR_CHI, KERR_DELTA, KERR_LAM, constants_for, z_bound
 
 __all__ = [
     "ode_propagate",
@@ -277,7 +277,7 @@ def _suite_contraction_and_law(quick: bool, rng: np.random.Generator) -> dict:
 
 
 def _suite_dominance(quick: bool) -> dict:
-    family = kerr_family(lam=25.0, delta=50.0, chi=-50.0 / 60.0)
+    family = kerr_family(KERR_LAM, KERR_DELTA, KERR_CHI)
     k_values = (3, 4) if quick else tuple(range(3, 11))
     times = (0.5,) if quick else (0.1, 0.5, 1.0)
     alpha = beta = 0.1
@@ -306,9 +306,7 @@ def _suite_dominance(quick: bool) -> dict:
 
 
 def _suite_residual_oracle(quick: bool, rng: np.random.Generator) -> dict:
-    from .models import kerr_cavity
-
-    model = kerr_cavity(lam=25.0, delta=50.0, chi=-50.0 / 60.0, k=2)
+    model = kerr_cavity(KERR_LAM, KERR_DELTA, KERR_CHI, 2)
     n_cases = 3 if quick else 8
     worst = 0.0
     for _ in range(n_cases):

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -8,13 +10,16 @@ import pytest
 from qsdecert import (
     ApproxState,
     CSV_HEADER,
+    ae_certificate_table,
     interval_sum,
     kerr_cavity,
+    kerr_certificate_table,
     kerr_constants,
     kerr_table_row,
     model_to_json,
 )
 from qsdecert.cli import main
+from qsdecert.truncation import KERR_KS
 
 KERR19_BOUND = 0.2328439300481592
 
@@ -391,8 +396,53 @@ def test_verify_quick(tmp_path):
     ["kerr-table", "--k-list", "5", "--use-paper-psi", "--optimize", "--seed", "0"],
     ["ae-table", "--seed", "3"],
     ["optimize", "--model", "ae", "--seed", "3"],
+    ["kerr-table", "--k", "19", "--k-list", "29,39"],
+    ["ae-table", "--k", "10000", "--k-list", "100000"],
 ])
 def test_flags_that_would_be_ignored_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("level", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["optimize", "--model", "kerr"],
+    ["kerr-table"],
+    ["ae-table"],
+    ["bound", "--model", "kerr"],
+])
+def test_levels_below_one_are_usage_errors(command, level):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--k", level])
+    assert exc.value.code == 2
+
+
+def test_kerr_table_takes_library_defaults(capsys):
+    assert main(["kerr-table", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == [r.to_json() for r in kerr_certificate_table(KERR_KS)]
+
+
+@pytest.fixture(scope="module")
+def ae_table_small():
+    """`ae-table` JSON on 4 intervals in 1 block, the other flags unset."""
+    argv = ["ae-table", "--intervals", "4", "--blocks", "1", "--format", "json"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return json.loads(buf.getvalue())
+
+
+def test_ae_table_takes_library_defaults(ae_table_small):
+    reports, result = ae_certificate_table(n_intervals=4, blocks=1)
+    assert ae_table_small["rows"] == [r.to_json() for r in reports]
+    assert ae_table_small["J"] == result.cost
+
+
+def test_optimize_ae_searches_on_the_ae_table_horizon(ae_table_small, capsys):
+    assert main(["optimize", "--model", "ae", "--intervals", "4", "--blocks", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["state"]["t"] == 1.0
+    assert {row["t"] for row in ae_table_small["rows"]} == {1.0}
+    assert payload["cost"] == ae_table_small["J"]

@@ -79,6 +79,16 @@ def test_approx_state_validation():
         ApproxState([(_e(0), f), (_e(1), g)])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_approx_state_rejects_overflowing_norm():
+    # Finite entries whose squared norm overflows: rejected when the state is
+    # built, without a RuntimeWarning.
+    f = SimpleFunction.constant([0.1], 1.0)
+    with pytest.raises(InvalidApproximantError, match="finite"):
+        ApproxState([(2e154 * _e(0), f)])
+    assert ApproxState([(1e150 * _e(0), f)]).n_terms == 1
+
+
 def test_approx_state_round_trip():
     f = SimpleFunction(np.array([0.0, 0.3, 1.0]), np.array([[0.1j], [0.2]]))
     st = ApproxState([(_e(0) + 0.5j * _e(2), f), (_e(1), f)], label="pair")
