@@ -33,18 +33,15 @@ from .operators import (
     annihilation,
     basis_state,
     creation,
-    flatten_index,
     matexp,
     number,
     opnorm,
-    projector,
     tensor,
 )
 from .models import (
     ModelFamily,
     SlhModel,
     atom_cavity,
-    atom_cavity_family,
     kerr_cavity,
     kerr_family,
     model_from_json,
@@ -67,9 +64,9 @@ from .truncation import (
     CSV_HEADER,
     BoundConstants,
     CertificateReport,
-    assemble,
     atom_cavity_constants,
     c_sequence,
+    certifier,
     coherent_mismatch,
     constants_for,
     interval_sum,

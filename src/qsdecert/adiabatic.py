@@ -8,7 +8,9 @@ two operator norms M1 = ||P1 + Q1/k||, M2 = ||P2 + Q2/k|| entering
 certificates at rate 1/k. The P's and Q's do not depend on k: a certificate
 builds them once per interval and takes each k's rates for all intervals as
 batched norms, so `AeConstants` and `ae_semigroup_error` take per-interval
-columns. k is a finite integer >= 1.
+columns. Certificates go through `truncation.certifier`, the one the
+truncation route uses, with (2 M1 + dt M2)/k as the per-interval error.
+k is a finite integer >= 1.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .errors import (
 )
 from .models import SlhModel
 from .operators import adjoint, annihilation, creation, number, opnorm, tensor
-from .semigroup import SimpleFunction, _generators, generator, refine_common
-from .states import ApproxState, OptimizeResult, OptimizeSchedule, cost, optimize
-from .truncation import CertificateReport, _finite_and, assemble, coherent_mismatch
+from .semigroup import SimpleFunction, _generators, generator
+from .states import ApproxState, OptimizeResult, OptimizeSchedule, optimize
+from .truncation import CertificateReport, _finite_and, certifier
 
 __all__ = [
     "AeModel",
@@ -320,32 +322,26 @@ def _ae_certifier(model: AeModel, reduced: SlhModel, psi, psi_prime: ApproxState
                   f_prime: SimpleFunction):
     """k -> certificate of one approximant, for a sweep of scaling values.
 
-    reduced is limit_coefficients(model). The mismatch, the residual, and
-    each term's common partition with f_prime and per-interval
-    (P1, Q1, P2, Q2), stacked over the intervals, do not depend on k and are
-    computed here once; the returned function takes two batched norms per
-    term and assembles.
+    reduced is limit_coefficients(model). Each term's per-interval
+    (P1, Q1, P2, Q2), stacked over the intervals of its common partition
+    with f_prime, are its rates for `certifier`, which computes them once
+    with the mismatch and the residual; the returned function takes two
+    batched norms per term.
     """
-    u, f = psi
-    mismatch = coherent_mismatch(f, f_prime)
-    residual = cost(reduced, (u, f_prime), psi_prime)
-    refined = [refine_common(f_prime, gj) for _, gj in psi_prime.terms]
-    terms = []
-    for fr, gr in refined:
+    def term_rates(fr, gr):
         Gs = _generators(reduced, fr.values, gr.values)
         mats = [_m_matrices(model, G, a, b) for G, a, b in zip(Gs, fr.values, gr.values)]
-        terms.append(([np.stack(Ms) for Ms in zip(*mats)], fr.durations()))
+        return [np.stack(Ms) for Ms in zip(*mats)]
 
-    def certify(k) -> CertificateReport:
+    certify = certifier(reduced, psi, psi_prime, f_prime, term_rates)
+
+    def certify_at(k) -> CertificateReport:
         k = _scaling(k)
-        z_terms = [ae_semigroup_error(_rates(mats, k), dts).tolist()
-                   for mats, dts in terms]
-        report = assemble(psi_prime, f_prime, mismatch, residual, z_terms,
-                          partition=refined[0][0].breakpoints, k=k)
+        report = certify(lambda mats, dts: ae_semigroup_error(_rates(mats, k), dts), k=k)
         report.k_scaling = 2.0 * report.z_sum
         return report
 
-    return certify
+    return certify_at
 
 
 def ae_theorem_bound(model: AeModel, psi, psi_prime: ApproxState,

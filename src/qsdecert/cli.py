@@ -119,13 +119,13 @@ def cmd_kerr_table(parser, args) -> int:
     ks = _ks(args) or KERR_KS
     drive = _given(alpha=args.alpha, t_final=args.t_final)
     extra = {}
-    state = None  # the bundled reference minimizer, which --use-paper-psi names
+    state = None  # the bundled reference minimizer, certified on [0, 5]
     if args.optimize:
         result = kerr_search(min(ks), **drive, **_given(seed=args.seed))
         state = result.state
         extra["J"] = result.cost
     else:
-        _reject(parser, args, "kerr-table without --optimize", ("seed",))
+        _reject(parser, args, "kerr-table without --optimize", ("seed", "t_final"))
     reports = kerr_certificate_table(
         ks, pool_map=_pool_map, r=args.r, s=args.s, state=state,
         **drive, **_given(n_intervals=args.intervals),
@@ -204,10 +204,10 @@ def cmd_bound(parser, args) -> int:
     if args.model == "kerr" and args.constants is None:
         if args.k is None:
             parser.error("builtin kerr evaluation needs --k")
-        _reject(parser, args, "builtin kerr evaluation", ("partition", "amplitudes"))
+        _reject(parser, args, "builtin kerr evaluation",
+                ("partition", "amplitudes", "t_final"))
         report = kerr_table_row(args.k, r=args.r, s=args.s,
-                                **_given(alpha=args.alpha, t_final=args.t_final,
-                                         n_intervals=args.intervals))
+                                **_given(alpha=args.alpha, n_intervals=args.intervals))
         _emit(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", args.out)
         return 0
 
@@ -221,11 +221,8 @@ def cmd_bound(parser, args) -> int:
     if args.partition is None:
         parser.error("rate-constant evaluation needs --partition")
     partition = _parse_partition(args.partition)
-    n_intervals = len(partition) - 1
     if args.constants is not None:
         rates, k = _load_constants(args.constants)
-        if rates.shape[1] == 1:
-            rates = np.repeat(rates, n_intervals, axis=1)
         consts = BoundConstants(*rates, k=k)
     else:
         model = model_from_json(_load_json(args.model))
@@ -237,11 +234,9 @@ def cmd_bound(parser, args) -> int:
                 f"--amplitudes must be two comma-separated complex numbers, "
                 f"got {amplitudes!r}"
             ) from exc
-        c = constants_for(model, alpha, beta)
-        k = c.k
-        consts = [c] * n_intervals
+        consts = constants_for(model, alpha, beta)
     report = CertificateReport(
-        k=k or 0,
+        k=consts.k or 0,
         r=args.r,
         s=args.s,
         t=partition[-1],
@@ -316,11 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("kerr-table", help="Kerr cavity truncation benchmark")
     _add_common(p, k_list=True,
                 seed_help="search seed, with --optimize only (default 0)")
-    approximant = p.add_mutually_exclusive_group()
-    approximant.add_argument("--optimize", action="store_true",
-                             help="search for the approximant instead of the bundled one")
-    approximant.add_argument("--use-paper-psi", action="store_true",
-                             help="use the bundled reference minimizer (default)")
+    p.add_argument("--optimize", action="store_true",
+                   help="search for the approximant instead of the bundled one")
     p.set_defaults(func=cmd_kerr_table)
 
     p = add_parser("ae-table", help="atom-cavity elimination benchmark")

@@ -29,7 +29,6 @@ __all__ = [
     "atom_cavity",
     "truncate",
     "kerr_family",
-    "atom_cavity_family",
     "model_to_json",
     "model_from_json",
 ]
@@ -245,13 +244,6 @@ def kerr_family(lam: float, delta: float, chi: float) -> ModelFamily:
     return ModelFamily(
         label="kerr", builder=functools.cache(lambda k: kerr_cavity(lam, delta, chi, k)),
         params={"lam": lam, "delta": delta, "chi": chi},
-    )
-
-
-def atom_cavity_family(lam: float, chi: float) -> ModelFamily:
-    return ModelFamily(
-        label="atom_cavity", builder=functools.cache(lambda k: atom_cavity(lam, chi, k)),
-        params={"lam": lam, "chi": chi},
     )
 
 

@@ -22,9 +22,7 @@ __all__ = [
     "adjoint",
     "matexp",
     "opnorm",
-    "projector",
     "basis_state",
-    "flatten_index",
 ]
 
 
@@ -119,19 +117,6 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def projector(dim: int, indices) -> np.ndarray:
-    """Diagonal 0/1 matrix selecting the listed basis vectors."""
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    p = np.zeros((dim, dim), dtype=complex)
-    for i in indices:
-        i = int(i)
-        if i < 0 or i >= dim:
-            raise InvalidIndexError(f"basis index {i} out of range [0, {dim})")
-        p[i, i] = 1.0
-    return p
-
-
 def basis_state(dim: int, n: int) -> np.ndarray:
     """Unit vector |n> in a dim-dimensional space."""
     if dim < 1:
@@ -141,8 +126,3 @@ def basis_state(dim: int, n: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
     return v
-
-
-def flatten_index(i_atom: int, n_fock: int, dim_fock: int) -> int:
-    """Composite basis index under the left-factor-slow convention."""
-    return i_atom * dim_fock + n_fock

@@ -88,10 +88,8 @@ class SimpleFunction:
         return float(self.breakpoints[-1])
 
     @classmethod
-    def constant(cls, value, t_final: float, m: int | None = None):
+    def constant(cls, value, t_final: float):
         v = np.atleast_1d(np.asarray(value, dtype=complex))
-        if m is not None and v.size != m:
-            raise InvalidAmplitudeError(f"expected {m} channels, got {v.size}")
         return cls([0.0, t_final], v[None, :])
 
     @classmethod

@@ -1,10 +1,13 @@
-"""Explicit truncation-error functionals and error-certificate assembly.
+"""Explicit truncation-error functionals and the certifier both routes share.
 
 The per-interval functional z_{r,s}(t) bounds how far the level-k truncated
-interval semigroup drifts from the untruncated one, using only four scalar
-rates (gamma, qL, qa, qe) derived per model family. Certificates for a full
-horizon combine a coherent-amplitude mismatch, an optimization residual
-computed against the truncated propagator, and the weighted z sum.
+interval semigroup drifts from the untruncated one, using only four rates
+(gamma, qL, qa, qe) derived per model family, as scalars or per-interval
+columns. A certificate for a full horizon combines a coherent-amplitude
+mismatch, an optimization residual computed against the computable
+propagator, and the weighted sum of per-interval errors. `certifier` builds
+it for both routes: truncation passes z_{r,s} and adiabatic elimination its
+(2 M1 + dt M2)/k rates.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ __all__ = [
     "constants_for",
     "interval_sum",
     "coherent_mismatch",
-    "assemble",
+    "certifier",
     "theorem_bound",
     "kerr_reference_state",
     "kerr_search",
@@ -110,20 +113,11 @@ class BoundConstants:
 def _finite_and(v, compare) -> bool:
     """Whether v, a scalar or a column, is finite and compares true with 0
     everywhere. Scalars skip numpy: its check takes about 5 us a field
-    against 0.4 us, and constants_for builds one scalar instance per interval
-    (without this path, rate-bounds setup_s rose by about 40 %)."""
+    against 0.4 us, and the rate-bounds benchmark builds thousands of scalar
+    instances per round (without this path, its setup_s rose by about 40 %)."""
     if isinstance(v, np.ndarray):
         return bool((np.isfinite(v) & compare(v, 0)).all())
     return bool(compare(v, 0)) and math.isfinite(v)
-
-
-def _columns(constants) -> BoundConstants:
-    """One BoundConstants holding per-interval columns, from a sequence of
-    BoundConstants or from a columnar instance (returned as it is)."""
-    if isinstance(constants, BoundConstants):
-        return constants
-    rates = np.array([(c.gamma, c.qL, c.qa, c.qe) for c in constants], dtype=float)
-    return BoundConstants(*rates.reshape(-1, 4).T)
 
 
 def z_bound(c: BoundConstants, r: int, s: int, t):
@@ -216,16 +210,17 @@ def z_bound(c: BoundConstants, r: int, s: int, t):
 
 
 def kerr_constants(k: int, alpha: complex, beta: complex, lam: float) -> BoundConstants:
-    """Rates for the Kerr cavity truncated at level k."""
+    """Rates for the Kerr cavity truncated at level k.
+
+    The amplitudes alpha, beta are scalars, or per-interval arrays that give
+    per-interval rate columns (as do atom_cavity_constants and constants_for).
+    """
     if k < 1:
         raise InvalidParameterError(f"level must be >= 1, got {k}")
     if lam <= 0:
         raise InvalidParameterError(f"coupling must be positive, got {lam}")
-    gamma = 0.5 * (lam * k + abs(alpha - beta) ** 2)
-    if gamma <= 0:
-        raise DegenerateRateError("degenerate rate: gamma = 0")
     return BoundConstants(
-        gamma=gamma,
+        gamma=0.5 * (lam * k + abs(alpha - beta) ** 2),
         qL=math.sqrt(lam * (k + 1)) * abs(beta),
         qa=abs(beta) * math.sqrt(lam * k),
         qe=abs(alpha) * math.sqrt(lam * (k + 1)) + abs(beta) * math.sqrt(lam * (k + 2)),
@@ -240,12 +235,9 @@ def atom_cavity_constants(k: int, alpha: complex, beta: complex,
         raise InvalidParameterError(f"level must be >= 1, got {k}")
     if lam <= 0 or chi < 0:
         raise InvalidParameterError("need lam > 0 and chi >= 0")
-    gamma = 0.5 * (lam * k + abs(alpha - beta) ** 2)
-    if gamma <= 0:
-        raise DegenerateRateError("degenerate rate: gamma = 0")
     rl = math.sqrt(lam)
     return BoundConstants(
-        gamma=gamma,
+        gamma=0.5 * (lam * k + abs(alpha - beta) ** 2),
         qL=math.sqrt(k + 1) * (abs(beta) * rl + chi),
         qa=math.sqrt(k) * (chi + abs(beta) * rl),
         qe=math.sqrt(k + 1) * (chi + abs(alpha) * rl)
@@ -269,16 +261,16 @@ def constants_for(model: SlhModel, alpha: complex, beta: complex) -> BoundConsta
     )
 
 
-def interval_sum(constants_per_interval, partition, r: int, s: int) -> float:
+def interval_sum(c: BoundConstants, partition, r: int, s: int) -> float:
     """Sum of z_bound over a partition, in one z_bound call.
 
-    The constants are a sequence of BoundConstants, one per interval, or one
-    BoundConstants whose rates are per-interval columns.
+    The rates of c are scalars (or one-entry columns) shared by every
+    interval, or per-interval columns; a column of any other length raises
+    PartitionError.
     """
     partition = np.asarray(partition, dtype=float)
-    c = _columns(constants_per_interval)
     n_consts = np.size(c.gamma)
-    if n_consts != partition.size - 1:
+    if n_consts not in (1, partition.size - 1):
         raise PartitionError(
             f"{partition.size - 1} intervals but {n_consts} constant sets"
         )
@@ -361,33 +353,46 @@ class CertificateReport:
         return data
 
 
-def assemble(psi_prime: ApproxState, f_prime: SimpleFunction, mismatch: float,
-             residual: float, z_terms, *, partition, k: int, r: int = 0,
-             s: int = 0) -> CertificateReport:
-    """Certificate from its mismatch, residual and per-interval errors.
+def certifier(model: SlhModel, psi, psi_prime: ApproxState, f_prime: SimpleFunction,
+              term_rates):
+    """Certificate maker for one approximant, shared by both routes.
 
-    z_terms[j] lists the errors of the intervals of term j's common
-    partition with f_prime; partition is the first term's. The term's weight
-    is ||u_j|| exp(||g_j||^2 / 2), and z_sum = sum_j w_j sum_i z_ij,
-    accumulated in term order.
+    model is the computable propagator's model. The mismatch, the residual,
+    each term's common partition (fr, gr) with f_prime, its rates
+    term_rates(fr, gr), and the weights ||u_j|| exp(||g_j||^2 / 2) are
+    computed here once. The returned certify(z_of, *, k, r=0, s=0) takes the
+    per-interval errors z_of(rates, durations) of every term and builds the
+    CertificateReport, with z_sum = sum_j w_j sum_i z_ij accumulated in term
+    order; its partition is the first term's.
     """
+    u, f = psi
+    mismatch = coherent_mismatch(f, f_prime)
+    residual = cost(model, (u, f_prime), psi_prime)
+    refined = [refine_common(f_prime, gj) for _, gj in psi_prime.terms]
+    terms = [(term_rates(fr, gr), fr.durations()) for fr, gr in refined]
     weights = [float(np.linalg.norm(uj)) * exp_norm(gj) for uj, gj in psi_prime.terms]
-    z_sum = 0.0
-    for w, zs in zip(weights, z_terms, strict=True):
-        z_sum += w * sum(zs)
-    return CertificateReport(
-        k=k,
-        r=r,
-        s=s,
-        t=f_prime.t_final,
-        z_sum=z_sum,
-        residual=residual,
-        mismatch=mismatch,
-        z_terms=z_terms,
-        weights=weights,
-        partition=[float(b) for b in partition],
-        psi_desc=psi_prime.label or f"{psi_prime.n_terms}-term approximant",
-    )
+    partition = [float(b) for b in refined[0][0].breakpoints]
+
+    def certify(z_of, *, k: int, r: int = 0, s: int = 0) -> CertificateReport:
+        z_terms = [z_of(rates, dts).tolist() for rates, dts in terms]
+        z_sum = 0.0
+        for w, zs in zip(weights, z_terms, strict=True):
+            z_sum += w * sum(zs)
+        return CertificateReport(
+            k=k,
+            r=r,
+            s=s,
+            t=f_prime.t_final,
+            z_sum=z_sum,
+            residual=residual,
+            mismatch=mismatch,
+            z_terms=z_terms,
+            weights=list(weights),
+            partition=list(partition),
+            psi_desc=psi_prime.label or f"{psi_prime.n_terms}-term approximant",
+        )
+
+    return certify
 
 
 def theorem_bound(model: SlhModel, psi, psi_prime: ApproxState,
@@ -409,21 +414,12 @@ def theorem_bound(model: SlhModel, psi, psi_prime: ApproxState,
             f"the rate constants take one channel's amplitudes; this model has "
             f"{model.m} channels"
         )
-
-    mismatch = coherent_mismatch(f, f_prime)
-    residual = cost(model, (u, f_prime), psi_prime)
-    refined = [refine_common(f_prime, gj) for _, gj in psi_prime.terms]
-    z_terms = [
-        z_bound(_columns([constants_for(model, complex(a), complex(b))
-                          for a, b in zip(fr.values[:, 0], gr.values[:, 0])]),
-                r, s, fr.durations()).tolist()
-        for fr, gr in refined
-    ]
-    return assemble(
-        psi_prime, f_prime, mismatch, residual, z_terms,
-        partition=refined[0][0].breakpoints,
-        k=model.params.get("k", model.dim - 1), r=r, s=s,
+    certify = certifier(
+        model, (u, f), psi_prime, f_prime,
+        lambda fr, gr: constants_for(model, fr.values[:, 0], gr.values[:, 0]),
     )
+    return certify(lambda c, dts: z_bound(c, r, s, dts),
+                   k=model.params.get("k", model.dim - 1), r=r, s=s)
 
 
 # ---------------------------------------------------------------------------

@@ -60,14 +60,6 @@ def test_kerr_table_stdout(capsys):
     assert captured.err == ""
 
 
-def test_kerr_table_reference_state_flag(tmp_path):
-    out = tmp_path / "ref.csv"
-    assert main(["kerr-table", "--k-list", "19", "--use-paper-psi",
-                 "--out", str(out)]) == 0
-    row = _read(out).strip().splitlines()[1]
-    assert float(row.split(",")[-1]) == pytest.approx(KERR19_BOUND, abs=1e-12)
-
-
 def test_kerr_table_rejects_bad_levels():
     with pytest.raises(SystemExit) as exc:
         main(["kerr-table", "--k-list", "0"])
@@ -137,7 +129,7 @@ def test_bound_with_constants_file(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads(_read(out))
     ref = kerr_constants(19, 0.1, 0.1, 25.0)
-    manual = interval_sum([ref] * 3, [0.0, 1.0, 2.0, 5.0], 2, 2)
+    manual = interval_sum(ref, [0.0, 1.0, 2.0, 5.0], 2, 2)
     assert payload["z_sum"] == pytest.approx(manual, rel=1e-12)
     assert payload["bound"] == pytest.approx((2.0 * manual) ** 0.5, rel=1e-12)
     assert payload["psi_desc"] == "rate-sum evaluation (no approximant)"
@@ -156,9 +148,7 @@ def test_bound_with_model_file(tmp_path):
     assert main(["bound", "--model", str(mfile), "--partition", "0,0.5,1",
                  "--amplitudes", "0.1,0.1", "--out", str(out)]) == 0
     payload = json.loads(_read(out))
-    manual = interval_sum(
-        [kerr_constants(3, 0.1, 0.1, 25.0)] * 2, [0.0, 0.5, 1.0], 2, 2
-    )
+    manual = interval_sum(kerr_constants(3, 0.1, 0.1, 25.0), [0.0, 0.5, 1.0], 2, 2)
     assert payload["z_sum"] == pytest.approx(manual, rel=1e-12)
 
 
@@ -223,11 +213,11 @@ def test_bound_malformed_input_files_exit_cleanly(tmp_path, capsys):
 
 
 def test_bound_with_per_interval_constants_file(tmp_path, capsys):
-    consts = [kerr_constants(19, 0.1, beta, 25.0) for beta in (0.1, 0.2, 0.05j)]
+    consts = kerr_constants(19, 0.1, np.array([0.1, 0.2, 0.05j]), 25.0)
     cfile = tmp_path / "c.json"
-    cfile.write_text(json.dumps(
-        [{"gamma": c.gamma, "qL": c.qL, "qa": c.qa, "qe": c.qe, "k": 19} for c in consts]
-    ))
+    keys = ("gamma", "qL", "qa", "qe")
+    rows = zip(*(getattr(consts, key).tolist() for key in keys))
+    cfile.write_text(json.dumps([dict(zip(keys, row), k=19) for row in rows]))
     out = tmp_path / "z.json"
     assert main(["bound", "--constants", str(cfile), "--partition", "0,0.5,2,5",
                  "--r", "3", "--s", "1", "--out", str(out)]) == 0
@@ -393,7 +383,8 @@ def test_verify_quick(tmp_path):
     ["bound", "--model", "kerr", "--k", "3", "--format", "csv"],
     ["optimize", "--model", "kerr", "--format", "csv"],
     ["kerr-table", "--k-list", "5", "--seed", "9"],
-    ["kerr-table", "--k-list", "5", "--use-paper-psi", "--optimize", "--seed", "0"],
+    ["kerr-table", "--k", "19", "--t-final", "2"],
+    ["bound", "--model", "kerr", "--k", "19", "--t-final", "1"],
     ["ae-table", "--seed", "3"],
     ["optimize", "--model", "ae", "--seed", "3"],
     ["kerr-table", "--k", "19", "--k-list", "29,39"],

@@ -13,13 +13,11 @@ from qsdecert import (
     annihilation,
     basis_state,
     creation,
-    flatten_index,
     generator,
     kerr_cavity,
     matexp,
     number,
     opnorm,
-    projector,
     tensor,
 )
 from qsdecert.operators import THETA13
@@ -79,18 +77,8 @@ def test_tensor_index_convention():
         for n in range(4):
             for j in range(3):
                 for m in range(4):
-                    expected[flatten_index(i, n, 4), flatten_index(j, m, 4)] = a[i, j] * b[n, m]
+                    expected[i * 4 + n, j * 4 + m] = a[i, j] * b[n, m]
     np.testing.assert_allclose(t, expected, rtol=1e-14, atol=0.0)
-
-
-def test_projector_selects_indices():
-    p = projector(5, [0, 3])
-    np.testing.assert_array_equal(np.diag(p), np.array([1, 0, 0, 1, 0], dtype=complex))
-    np.testing.assert_allclose(p @ p, p, atol=0.0)
-    with pytest.raises(InvalidIndexError):
-        projector(5, [5])
-    with pytest.raises(InvalidDimensionError):
-        projector(0, [])
 
 
 def test_basis_state():

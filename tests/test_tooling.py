@@ -5,6 +5,7 @@ loads only in the commands that call it."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -29,6 +30,37 @@ def test_tracer_targets_resolve():
     assert missing == []
     # perfbench/workloads.py passes the CLI's row pool to ae_certificate_table
     assert callable(qsdecert.cli._pool_map)
+
+
+def test_workload_imports_resolve():
+    # Every qsdecert name perfbench/workloads.py imports exists, and every
+    # keyword it passes to one of them is still a parameter.
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qsdecert"
+        for alias in node.names
+    }
+    assert "ae_certificate_table" in imported
+    objects = {}
+    for local, (mod, name) in imported.items():
+        module = importlib.import_module(mod)
+        if hasattr(module, name):
+            objects[local] = getattr(module, name)
+        else:
+            assert importlib.util.find_spec(f"{mod}.{name}") is not None, f"{mod}.{name}"
+    unknown = [
+        f"{node.func.id}({kw.arg}=)" for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and callable(objects.get(node.func.id))
+        for kw in node.keywords
+        if kw.arg is not None
+        and kw.arg not in inspect.signature(objects[node.func.id]).parameters
+    ]
+    assert unknown == []
+    assert {"seed", "pool_map"} <= set(
+        inspect.signature(objects["ae_certificate_table"]).parameters)
 
 
 def test_tracer_reaches_nelder_mead():

@@ -1,5 +1,6 @@
 """Interval rate bounds, certificate assembly, and the Kerr benchmark table."""
 
+import functools
 import math
 import sys
 import threading
@@ -28,17 +29,20 @@ from qsdecert import (
     c_sequence,
     coherent_mismatch,
     constants_for,
+    exp_norm,
     interval_sum,
     kerr_cavity,
     kerr_constants,
     kerr_reference_state,
     kerr_table_row,
+    refine_common,
     theorem_bound,
     z_bound,
 )
 from qsdecert.truncation import MAX_ORDER_SUM
 
 KERR19 = kerr_constants(19, 0.1, 0.1, 25.0)
+RATE_KEYS = ("gamma", "qL", "qa", "qe")
 
 
 def _z_reference(gamma, qL, qa, qe, r, s, t):
@@ -289,14 +293,13 @@ def test_z_bound_exact_zeros(inputs):
     data=st.data(),
 )
 def test_interval_sum_matches_summed_reference(n, r, s, data):
-    consts = [
-        BoundConstants(data.draw(GAMMAS), data.draw(QS), data.draw(QS), data.draw(QS))
-        for _ in range(n)
-    ]
+    rates = [(data.draw(GAMMAS), data.draw(QS), data.draw(QS), data.draw(QS))
+             for _ in range(n)]
+    consts = BoundConstants(*np.array(rates).T)
     dts = data.draw(st.lists(TIMES, min_size=n, max_size=n))
     partition = np.concatenate([[0.0], np.cumsum(dts)])
-    ref = sum(_z_reference(c.gamma, c.qL, c.qa, c.qe, r, s, float(dt))
-              for c, dt in zip(consts, np.diff(partition)))
+    ref = sum(_z_reference(*rate, r, s, float(dt))
+              for rate, dt in zip(rates, np.diff(partition)))
     assert interval_sum(consts, partition, r, s) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
@@ -321,13 +324,13 @@ def test_nonfinite_bounds_raise_numeric_error():
     with pytest.raises(NumericError):
         z_bound(huge, 2, 2, 1.0)
     with pytest.raises(NumericError):
-        interval_sum([huge], [0.0, 1.0], 2, 2)
+        interval_sum(huge, [0.0, 1.0], 2, 2)
     # Each interval's z is finite, but their sum overflows.
     unit = z_bound(BoundConstants(gamma=1.0, qL=1.0, qa=1.0, qe=1.0), 1, 1, 1.0)
     big = BoundConstants(gamma=1.0, qL=1.5e308 / unit, qa=1.0, qe=1.0)
     assert math.isfinite(z_bound(big, 1, 1, 1.0))
     with pytest.raises(NumericError):
-        interval_sum([big, big], [0.0, 1.0, 2.0], 1, 1)
+        interval_sum(big, [0.0, 1.0, 2.0], 1, 1)
 
 
 def test_theorem_bound_rejects_nonfinite_certificate():
@@ -356,23 +359,49 @@ def test_theorem_bound_rejects_multichannel_models():
         theorem_bound(two, (u, f), state, f, 2, 2)
 
 
+def _column(c: BoundConstants, n: int) -> BoundConstants:
+    """c's scalar rates repeated into n-entry per-interval columns."""
+    return BoundConstants(*(np.full(n, getattr(c, key)) for key in RATE_KEYS), k=c.k)
+
+
 def test_interval_sum():
     parts = np.array([0.0, 0.5, 2.0, 5.0])
-    consts = [KERR19, KERR19, kerr_constants(19, 0.2, 0.1, 25.0)]
+    consts = kerr_constants(19, np.array([0.1, 0.1, 0.2]), 0.1, 25.0)
     manual = (
         z_bound(KERR19, 2, 2, 0.5)
         + z_bound(KERR19, 2, 2, 1.5)
-        + z_bound(consts[2], 2, 2, 3.0)
+        + z_bound(kerr_constants(19, 0.2, 0.1, 25.0), 2, 2, 3.0)
     )
     assert interval_sum(consts, parts, 2, 2) == pytest.approx(manual, rel=1e-14)
+    # Columns of the wrong length.
     with pytest.raises(PartitionError):
-        interval_sum(consts[:2], parts, 2, 2)
-    # The same constants as per-interval columns of one BoundConstants.
-    columns = BoundConstants(*(np.array([getattr(c, key) for c in consts])
-                               for key in ("gamma", "qL", "qa", "qe")))
-    assert interval_sum(columns, parts, 2, 2) == interval_sum(consts, parts, 2, 2)
+        interval_sum(kerr_constants(19, np.array([0.1, 0.1]), 0.1, 25.0), parts, 2, 2)
     with pytest.raises(PartitionError):
-        interval_sum(columns, parts[:3], 2, 2)
+        interval_sum(consts, parts[:3], 2, 2)
+    # Scalar rates are shared by every interval, like a repeated column.
+    assert interval_sum(KERR19, parts, 2, 2) == interval_sum(_column(KERR19, 3), parts, 2, 2)
+    assert interval_sum(_column(KERR19, 1), parts, 2, 2) == interval_sum(KERR19, parts, 2, 2)
+
+
+@pytest.mark.parametrize("family", ["kerr", "atom_cavity"])
+def test_columnar_constants_equal_per_interval_calls(family):
+    rng = np.random.default_rng(3)
+    alphas = rng.normal(0.0, 0.3, 40) + 1j * rng.normal(0.0, 0.3, 40)
+    betas = rng.normal(0.0, 0.3, 40) + 1j * rng.normal(0.0, 0.3, 40)
+    if family == "kerr":
+        model = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 7)
+        rates = functools.partial(kerr_constants, 7, lam=25.0)
+    else:
+        model = atom_cavity(4.0, 1.5, 7)
+        rates = functools.partial(atom_cavity_constants, 7, lam=4.0, chi=1.5)
+    for columns in (rates(alpha=alphas, beta=betas), constants_for(model, alphas, betas)):
+        assert columns.k == 7
+        for i, (a, b) in enumerate(zip(alphas, betas)):
+            for c in (rates(alpha=complex(a), beta=complex(b)),
+                      constants_for(model, complex(a), complex(b))):
+                for key in RATE_KEYS:
+                    assert getattr(columns, key)[i] == pytest.approx(
+                        getattr(c, key), rel=1e-15, abs=0.0)
 
 
 def test_coherent_mismatch():
@@ -394,6 +423,30 @@ def test_theorem_bound_requires_normalized_reference():
     u[0] = 2.0
     with pytest.raises(NormalizationError):
         theorem_bound(m, (u, f), state, f, 2, 2)
+
+
+def test_theorem_bound_weighs_each_term():
+    # Two terms on different partitions: term j's errors are z_bound over its
+    # common partition with f' at that partition's rates, its weight is
+    # ||u_j|| exp(||g_j||^2 / 2), and the report's partition is term 0's.
+    m = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 5)
+    f = SimpleFunction([0.0, 1.0, 2.0], [[0.1], [0.15]])
+    u = np.zeros(6, dtype=complex)
+    u[0] = 1.0
+    g0 = SimpleFunction([0.0, 0.5, 2.0], [[0.12], [0.08j]])
+    g1 = SimpleFunction([0.0, 1.5, 2.0], [[-0.05], [0.2]])
+    state = ApproxState([(0.9 * u, g0), (0.3j * np.roll(u, 1), g1)])
+    rep = theorem_bound(m, (u, f), state, f, 2, 3)
+    assert rep.weights == pytest.approx([0.9 * exp_norm(g0), 0.3 * exp_norm(g1)],
+                                        rel=1e-15, abs=0.0)
+    for (_, g), zs in zip(state.terms, rep.z_terms, strict=True):
+        fr, gr = refine_common(f, g)
+        expected = [z_bound(constants_for(m, complex(a[0]), complex(b[0])), 2, 3, dt)
+                    for a, b, dt in zip(fr.values, gr.values, fr.durations())]
+        assert zs == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert rep.partition == [0.0, 0.5, 1.0, 2.0]
+    assert rep.z_sum == rep.weights[0] * sum(rep.z_terms[0]) + rep.weights[1] * sum(
+        rep.z_terms[1])
 
 
 def test_theorem_bound_zero_drive_is_exact():
