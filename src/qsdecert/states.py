@@ -12,8 +12,10 @@ coefficients, so the optimal u_j are recovered exactly from the terms' Gram
 system at every evaluation.
 
 Both searches (joint simplex, block sweep) freeze the drive's dt-scaled
-`semigroup.affine_basis` on a fixed partition and contract it with each
-candidate's amplitude rows; `cost` stays on the reference `chain` path.
+`semigroup.affine_basis` on a fixed partition and build each candidate's
+generators from it: 2x2 models in Python scalar arithmetic with a closed-form
+exponential, larger ones contracted with `affine_coefficients` and passed to
+a dense exponential. `cost` stays on the reference `chain` path.
 """
 
 from __future__ import annotations
@@ -226,35 +228,46 @@ class OptimizeResult:
     search_failure: bool = False
 
 
+def _closed_forms2(gs) -> list:
+    """Entries (t00, t01, t10, t11) of exp(G) per 2x2 G in gs, given as
+    (g00, g01, g10, g11): with mu the half trace, N = G - mu I squares to
+    d^2 I, so exp(G) = e^mu (cosh(d) I + (sinh(d) / d) N), with a series near
+    d = 0. Scalar arithmetic, because numpy's per-call overhead would
+    dominate the block search's few matrices per candidate. cmath loads here,
+    not with the package: it adds about 0.2 MB to a process. Where cmath
+    overflows or rejects a non-finite argument, the entries are NaN.
+    """
+    import cmath
+
+    out = []
+    for g00, g01, g10, g11 in gs:
+        mu = 0.5 * (g00 + g11)
+        a = g00 - mu
+        d2 = a * a + g01 * g10
+        try:
+            d = cmath.sqrt(d2)
+            if abs(d) < 1e-6:
+                ch = 1.0 + d2 / 2.0 + d2 * d2 / 24.0
+                sh = 1.0 + d2 / 6.0 + d2 * d2 / 120.0
+            else:
+                ch = cmath.cosh(d)
+                sh = cmath.sinh(d) / d
+            e = cmath.exp(mu)
+        except (OverflowError, ValueError):
+            out.append((math.nan,) * 4)
+            continue
+        ec = e * ch
+        es = e * sh
+        esa = es * a
+        out.append((ec + esa, es * g01, es * g10, ec - esa))
+    return out
+
+
 def _expm2(M: np.ndarray) -> np.ndarray:
     """Closed-form exponential of a 2x2 complex matrix or an (n, 2, 2) stack."""
-    mu = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
-    a = M[..., 0, 0] - mu
-    b = M[..., 0, 1]
-    c = M[..., 1, 0]
-    d2 = a * a + b * c
-    d = np.sqrt(d2)
-    small = np.abs(d) < 1e-6
-    if not small.any():
-        ch = np.cosh(d)
-        sh = np.sinh(d) / d
-    else:
-        # Series for cosh(d) and sinh(d)/d near d = 0. Each branch gets
-        # harmless arguments where the other one is taken, so neither warns.
-        z2 = np.where(small, d2, 0.0)
-        ch = np.where(small, 1.0 + z2 / 2.0 + z2 * z2 / 24.0, np.cosh(d))
-        sh = np.where(small, 1.0 + z2 / 6.0 + z2 * z2 / 120.0,
-                      np.sinh(d) / np.where(small, 1.0, d))
-    e = np.exp(mu)
-    ec = e * ch
-    es = e * sh
-    esa = es * a
-    out = np.empty(np.shape(M), dtype=complex)
-    out[..., 0, 0] = ec + esa
-    out[..., 0, 1] = es * b
-    out[..., 1, 0] = es * c
-    out[..., 1, 1] = ec - esa
-    return out
+    M = np.asarray(M, dtype=complex)
+    out = _closed_forms2(M.reshape(-1, 4).tolist())
+    return np.array(out, dtype=complex).reshape(M.shape)
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
@@ -268,11 +281,11 @@ def _solve_coefficients(kappa, b, support, us, ws, qs, penalty=0.0):
     """Minimizer over the support components of every u_j.
 
     Minimizes C0 - 2 Re(v^dag c) + c^dag (kappa (x) I) c where the constant
-    carries the frozen tails; returns (cost, solved u list). kappa is the
-    field Gram exp<g_i, g_j>, b[j, a] = w_j (u^dag C_j)[a] on the support.
-    Since pinv(kappa (x) I) = pinv(kappa) (x) I, the system is solved as
-    kappa c = conj(b) with one right-hand side per support component, at the
-    singular-value cutoff of the (L s)-square system.
+    carries the frozen tails; returns (cost, solved u's as an (L, d) array).
+    kappa is the field Gram exp<g_i, g_j>, b[j, a] = w_j (u^dag C_j)[a] on
+    the support. Since pinv(kappa (x) I) = pinv(kappa) (x) I, the system is
+    solved as kappa c = conj(b) with one right-hand side per support
+    component, at the singular-value cutoff of the (L s)-square system.
 
     penalty > 0 adds a ridge penalty * sum_j kappa[j,j] ||c_j||^2 to the
     solve (Levenberg damping by the Gram diagonal, i.e. the squared term
@@ -282,13 +295,15 @@ def _solve_coefficients(kappa, b, support, us, ws, qs, penalty=0.0):
     """
     L = len(us)
     s = support
-    q = np.asarray(qs)
-    if not (np.isfinite(kappa).all() and np.isfinite(b).all()
-            and np.isfinite(q).all()):
+    if not (np.isfinite(kappa).all() and np.isfinite(b).all()):
         return math.inf, us
     solved = np.array(us, dtype=complex)
     c0 = 1.0
     if s < solved.shape[1]:
+        # b holds the rows' support columns; their tails enter only here.
+        q = np.asarray(qs)
+        if not np.isfinite(q).all():
+            return math.inf, us
         tails = solved[:, s:]
         c0 += float(np.sum(kappa * (tails.conj() @ tails.T)).real)
         c0 -= 2.0 * float(np.dot(ws, np.sum(q[:, s:] * tails, axis=1).real))
@@ -296,7 +311,8 @@ def _solve_coefficients(kappa, b, support, us, ws, qs, penalty=0.0):
     v = np.conj(b)
     rcond = _EPS * L * s
     if penalty > 0.0:
-        damped = kappa + np.diag(penalty * kappa.diagonal().real)
+        damped = kappa.copy()
+        damped.flat[::L + 1] += penalty * kappa.diagonal().real
         cstar = np.linalg.lstsq(damped, v, rcond=rcond)[0]
         value = c0 - 2.0 * float(np.vdot(v, cstar).real) + float(
             np.vdot(cstar, kappa @ cstar).real
@@ -305,11 +321,11 @@ def _solve_coefficients(kappa, b, support, us, ws, qs, penalty=0.0):
         cstar = np.linalg.lstsq(kappa, v, rcond=rcond)[0]
         value = c0 - float(np.vdot(v, cstar).real)
     solved[:, :s] = cstar
-    return math.sqrt(max(value, 0.0)), list(solved)
+    return math.sqrt(max(value, 0.0)), solved
 
 
 def _horizon_cost(kappa, qs, us, support, penalty):
-    """(cost, solved u list, failed) for field Gram kappa and chain rows qs.
+    """(cost, solved (L, d) u array, failed) for field Gram kappa and chain rows qs.
 
     qs[j] = u^dag T_j is term j's chain row; the weights are ||e(g_j)||. A
     non-finite cost returns SEARCH_PENALTY with us unchanged and failed set.
@@ -319,7 +335,7 @@ def _horizon_cost(kappa, qs, us, support, penalty):
     value, solved = _solve_coefficients(
         kappa, ws[:, None] * qs[:, :support], support, us, ws, qs, penalty
     )
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         return SEARCH_PENALTY, us, True
     return value, solved, False
 
@@ -346,6 +362,26 @@ def _unpack_values(x, shapes):
     return vals
 
 
+def _generators2(slices, betas) -> list:
+    """Entries of dt G_p = B0 + sum_c beta_pc B_c - (|beta_p|^2 / 2) B_I per
+    interval, from the dt-scaled basis slices as (P, m+2) lists of entries
+    (x00, x01, x10, x11) and the (P, m) amplitude rows as lists; the last
+    slice B_I is the dt-scaled identity."""
+    out = []
+    for b, beta in zip(slices, betas):
+        g00, g01, g10, g11 = b[0]
+        h = 0.0
+        for bc, (x00, x01, x10, x11) in zip(beta, b[1:-1]):
+            g00 += bc * x00
+            g01 += bc * x01
+            g10 += bc * x10
+            g11 += bc * x11
+            h += bc.real * bc.real + bc.imag * bc.imag
+        h *= 0.5
+        out.append((g00 - h * b[-1][0], g01, g10, g11 - h * b[-1][3]))
+    return out
+
+
 def _interval_exps(basis, betas):
     """exp(dt_p G_p(beta_p)) per interval of a dt-scaled affine basis slice."""
     G = np.einsum("pk,pkij->pij", affine_coefficients(betas), basis)
@@ -355,7 +391,19 @@ def _interval_exps(basis, betas):
 
 
 def _chain_row(row, basis, betas) -> np.ndarray:
-    """row T^(0) ... T^(P-1) over the intervals of a dt-scaled basis slice."""
+    """row T^(0) ... T^(P-1) over the intervals of a dt-scaled basis slice.
+
+    A 2x2 model's row goes through the intervals in Python complex
+    arithmetic, with _generators2 and _closed_forms2: a search candidate
+    chains a few intervals, where numpy's per-call overhead would dominate.
+    """
+    if len(row) == 2:
+        r0, r1 = row.tolist()
+        slices = basis.reshape(len(basis), -1, 4).tolist()
+        gs = _generators2(slices, np.asarray(betas).tolist())
+        for t00, t01, t10, t11 in _closed_forms2(gs):
+            r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t11
+        return np.array([r0, r1])
     for T in _interval_exps(basis, betas):
         row = row @ T
     return row
@@ -367,7 +415,7 @@ def _gram(dts, vals) -> np.ndarray:
 
 
 def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedule):
-    """evaluate(vals) -> (cost, solved u list, failed) for per-term amplitude values.
+    """evaluate(vals) -> (cost, solved u array, failed) for per-term amplitude values.
 
     f and every term's partition are refined once into one common partition,
     on which the dt-scaled affine basis of f is frozen. Each term's values
@@ -384,7 +432,7 @@ def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedu
              for _, g in template.terms]
     basis = affine_basis(model, common.values) * dts[:, None, None, None]
     row = np.asarray(u, dtype=complex).conj()
-    us = [uj for uj, _ in template.terms]
+    us = np.array([uj for uj, _ in template.terms], dtype=complex)
     support = min(schedule.u_support or model.dim, model.dim)
 
     def evaluate(vals):
@@ -466,13 +514,14 @@ class _BlockOptimizer:
     u^dag T^(0) ... T^(P-1) u_j; the row u^dag T^(0) ... T^(committed-1) is
     cached per term and the unswept tail enters through per-term suffix
     products T^(hi) ... T^(P-1) (valid for a whole pass, since later blocks
-    keep their current values until their own sweep). A candidate block
-    therefore only costs one stacked exponential of its block_size small
-    generators plus block_size small matrix-vector products. Gram data
-    (amplitude L2 inner products) is kept as committed prefixes,
-    per-candidate block contributions and a right-cumulative tail; after
-    every block the system vectors are re-solved exactly from the Gram
-    system.
+    keep their current values until their own sweep). Gram data (amplitude
+    L2 inner products) is kept as committed prefixes, block contributions and
+    a right-cumulative tail. A candidate for term j therefore costs L
+    exponentials for column j of the Gram matrix, term j's row through the
+    block's intervals (closed-form 2x2 exponentials in scalar arithmetic, or
+    dense ones for larger models) and one coefficient solve of which only
+    the cost is kept (see _term_objective). After every block the system
+    vectors are re-solved exactly from the Gram system.
     """
 
     def __init__(self, model, psi, initial: ApproxState, schedule: OptimizeSchedule):
@@ -502,7 +551,7 @@ class _BlockOptimizer:
         # dt G(beta) = basis . (1, beta, -|beta|^2 / 2), frozen per interval.
         self.basis = affine_basis(model, alphas) * self.dts[:, None, None, None]
 
-        self.us = [u.astype(complex).copy() for u, _ in initial.terms]
+        self.us = np.array([u for u, _ in initial.terms], dtype=complex)
         self.vals = np.array([g.values for _, g in initial.terms], dtype=complex)
         self.L = len(self.us)
         self.support = min(schedule.u_support or model.dim, model.dim)
@@ -531,57 +580,71 @@ class _BlockOptimizer:
     def _gram(self, lo: int, hi: int) -> np.ndarray:
         return _gram(self.dts[lo:hi], self.vals[:, lo:hi])
 
-    def _block_qs(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([
-            _chain_row(self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi])
-            @ self.suffix[i, hi]
-            for i in range(self.L)
-        ])
+    def _block_q(self, lo: int, hi: int, i: int) -> np.ndarray:
+        """Term i's chain row u^dag T^(0) ... T^(P-1) at its current values."""
+        row = _chain_row(self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi])
+        return row @ self.suffix[i, hi]
+
+    def _term_objective(self, lo: int, hi: int, j: int, qs: np.ndarray):
+        """evaluate(beta) -> full-horizon cost with term j's values on block
+        [lo, hi) set to the (hi - lo, m) array beta; qs are the terms' current
+        chain rows. The context holds the exponentials of every Gram entry
+        outside row and column j, the fixed part of column j's exponent, the
+        other terms' rows and the block's basis slice. A candidate then
+        exponentiates only column j (row j is its conjugate), chains term j's
+        row through the block (in scalar arithmetic for 2x2 models) and
+        solves for the system vectors, keeping only the cost. Evaluations
+        count into nfev, non-finite costs into failed; the search runs them
+        under np.errstate(over="ignore"), since an overflowing Gram column is
+        one such cost, not an error.
+        """
+        base = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
+        with np.errstate(over="ignore"):
+            kappa = np.exp(base)
+        # Column j of the exponent is col_rest + weights @ beta, where row j
+        # of weights, dt conj(beta), is the candidate's own.
+        dts = np.repeat(self.dts[lo:hi], self.m)
+        weights = dts * np.conj(self.vals[:, lo:hi].reshape(self.L, -1))
+        col_rest = base[:, j] - weights @ self.vals[j, lo:hi].ravel()
+        qs = qs.copy()
+        basis, row, suffix = self.basis[lo:hi], self.rows[j], self.suffix[j, hi]
+        penalty = self.schedule.u_penalty
+
+        def evaluate(beta):
+            self.nfev += 1
+            flat = beta.ravel()
+            weights[j] = dts * np.conj(flat)
+            col = np.exp(col_rest + weights @ flat)
+            kappa[:, j] = col
+            kappa[j] = np.conj(col)
+            qs[j] = _chain_row(row, basis, beta) @ suffix
+            value, _, failed = _horizon_cost(kappa, qs, self.us, self.support, penalty)
+            self.failed |= failed
+            return value
+
+        return evaluate
 
     def _sweep_block(self, lo: int, hi: int):
         """One per-term pass over block [lo, hi), full-horizon objective."""
-        dts = self.dts[lo:hi, None]
-        nb = hi - lo
-        k = nb * self.m
-        basis = self.basis[lo:hi]
-        penalty = self.schedule.u_penalty
+        shape = (hi - lo, self.m)
+        k = shape[0] * self.m
+        qs = np.array([self._block_q(lo, hi, i) for i in range(self.L)])
         for j in range(self.L):
-            # Rows and Gram contributions of the other terms are fixed for
-            # this pass; only term j's block changes per candidate.
-            other_qs = self._block_qs(lo, hi)
-            base_inner = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
-            vj_cur = self.vals[j, lo:hi].copy()
-            # Column j of the Gram exponent is col_rest + sum_p dt conj(g_i) beta
-            # over the block, where row j of `weights` is the candidate's own.
-            weights = dts * np.conj(self.vals[:, lo:hi])
-            col_rest = base_inner[:, j] - np.einsum("ipc,pc->i", weights, vj_cur)
-            row_j = self.rows[j]
-            suffix_j = self.suffix[j, hi]
+            evaluate = self._term_objective(lo, hi, j, qs)
+            vj = self.vals[j, lo:hi].ravel()
+            x0 = np.concatenate([vj.real, vj.imag])
+            with np.errstate(over="ignore"):
+                res = _nelder_mead(lambda x: evaluate((x[:k] + 1j * x[k:]).reshape(shape)),
+                                   x0, self.schedule.max_iter or 120 * x0.size, True)
+            self.vals[j, lo:hi] = (res.x[:k] + 1j * res.x[k:]).reshape(shape)
+            qs[j] = self._block_q(lo, hi, j)
+        self._resolve(lo, hi, qs)
 
-            def objective(x):
-                self.nfev += 1
-                bv = (x[:k] + 1j * x[k:]).reshape(nb, self.m)
-                weights[j] = dts * np.conj(bv)
-                col = col_rest + np.einsum("ipc,pc->i", weights, bv)
-                kappa_in = base_inner.copy()
-                kappa_in[:, j] = col
-                kappa_in[j] = np.conj(col)
-                qs = other_qs.copy()
-                qs[j] = _chain_row(row_j, basis, bv) @ suffix_j
-                with np.errstate(over="ignore"):
-                    kappa = np.exp(kappa_in)
-                value, _, failed = _horizon_cost(kappa, qs, self.us, self.support, penalty)
-                self.failed |= failed
-                return value
-
-            x0 = np.concatenate([vj_cur.ravel().real, vj_cur.ravel().imag])
-            res = _nelder_mead(objective, x0, self.schedule.max_iter or 120 * x0.size, True)
-            self.vals[j, lo:hi] = (res.x[:k] + 1j * res.x[k:]).reshape(nb, self.m)
-
-        # Re-solve the system vectors with every block at its current value.
+    def _resolve(self, lo: int, hi: int, qs: np.ndarray):
+        """Solve the system vectors with every block at its current value."""
         kappa_in = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
         _, self.us, failed = _horizon_cost(
-            np.exp(kappa_in), self._block_qs(lo, hi), self.us, self.support, penalty
+            np.exp(kappa_in), qs, self.us, self.support, self.schedule.u_penalty
         )
         self.failed |= failed
 

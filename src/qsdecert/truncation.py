@@ -92,8 +92,9 @@ MAX_ORDER_SUM = 1025
 class BoundConstants:
     """Rates feeding z_bound, and the truncation level k they belong to.
 
-    gamma, qL, qa, qe are scalars, or equal-length columns with one entry per
-    interval (compare such instances field by field, not with ==).
+    gamma, qL, qa, qe are scalars, or equal-length 1-d columns with one entry
+    per interval (compare such instances field by field, not with ==); other
+    shapes raise InvalidParameterError.
     """
 
     gamma: float
@@ -103,6 +104,13 @@ class BoundConstants:
     k: int | None = None
 
     def __post_init__(self):
+        shapes = {v.shape for v in (self.gamma, self.qL, self.qa, self.qe)
+                  if isinstance(v, np.ndarray) and v.ndim}
+        if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+            raise InvalidParameterError(
+                "rates must be scalars or 1-d columns of one length, "
+                f"got shapes {sorted(shapes)}"
+            )
         if not _finite_and(self.gamma, operator.gt):
             raise DegenerateRateError(f"gamma must be finite and positive, got {self.gamma}")
         for name in ("qL", "qa", "qe"):
@@ -269,7 +277,7 @@ def interval_sum(c: BoundConstants, partition, r: int, s: int) -> float:
     PartitionError.
     """
     partition = np.asarray(partition, dtype=float)
-    n_consts = np.size(c.gamma)
+    n_consts = max(np.size(v) for v in (c.gamma, c.qL, c.qa, c.qe))
     if n_consts not in (1, partition.size - 1):
         raise PartitionError(
             f"{partition.size - 1} intervals but {n_consts} constant sets"

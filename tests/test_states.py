@@ -17,15 +17,18 @@ from qsdecert import (
     PartitionError,
     SimpleFunction,
     approx_norm,
+    atom_cavity_ae,
     chain,
     cost,
     exp_inner,
     exp_norm,
     kerr_cavity,
+    limit_coefficients,
     optimize,
     residual_norm,
 )
-from qsdecert.states import _expm2, _joint_evaluator, _solve_coefficients
+from qsdecert.adiabatic import COEFF_DAMPING
+from qsdecert.states import _BlockOptimizer, _expm2, _joint_evaluator, _solve_coefficients
 
 MODEL = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 2)
 
@@ -415,3 +418,44 @@ def test_joint_search_two_terms_on_different_partitions():
     assert not res.search_failure
     for (_, g), (_, g0) in zip(res.state.terms, template.terms):
         np.testing.assert_array_equal(g.breakpoints, g0.breakpoints)
+
+
+@pytest.mark.parametrize("support", [None, 1])
+@pytest.mark.parametrize("penalty", [0.0, COEFF_DAMPING])
+@pytest.mark.parametrize("family", ["atom_cavity", "kerr"])
+def test_block_objective_matches_reference_cost(family, penalty, support):
+    # The block counterpart of test_joint_objective_matches_reference_cost:
+    # the 2x2 reduced atom-cavity model takes the scalar chain, the d = 3
+    # Kerr model the dense one. Every term carries a nonzero tail beyond the
+    # support, and block [0, 2) is committed before block [2, 4) is searched.
+    model = limit_coefficients(atom_cavity_ae(25.0, 5.0, 0.1)) if family == "atom_cavity" \
+        else MODEL
+    dim = model.dim
+    rng = np.random.default_rng(11)
+    bps = np.linspace(0.0, 0.6, 7)
+    f = SimpleFunction(bps[[0, 3, 6]], np.array([[0.1], [0.12j]]))
+    psi = (_e(0, dim), f)
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    terms = [(draw(dim), SimpleFunction(bps, 0.1 * draw(6, 1))) for _ in range(3)]
+    schedule = OptimizeSchedule(block_size=2, u_support=support, u_penalty=penalty)
+    opt = _BlockOptimizer(model, psi, ApproxState(terms), schedule)
+    opt._build_tail()
+    opt._commit_block(0, 2)
+    lo, hi = 2, 4
+    qs = np.array([opt._block_q(lo, hi, i) for i in range(opt.L)])
+    for j in range(opt.L):
+        evaluate = opt._term_objective(lo, hi, j, qs)
+        beta = opt.vals[j, lo:hi] + 0.05 * draw(2, 1)
+        value = evaluate(beta)
+        # The context is reused in place: another candidate leaves no trace.
+        evaluate(beta + 0.3)
+        assert evaluate(beta) == value
+        opt.vals[j, lo:hi] = beta
+        qs[j] = opt._block_q(lo, hi, j)
+        opt._resolve(lo, hi, qs)
+        state = ApproxState([(opt.us[i], SimpleFunction(bps, opt.vals[i]))
+                             for i in range(opt.L)])
+        assert value == pytest.approx(cost(model, psi, state), rel=0.0, abs=1e-12)
+    assert not opt.failed

@@ -34,6 +34,7 @@ from qsdecert import (
     kerr_cavity,
     kerr_constants,
     kerr_reference_state,
+    kerr_search,
     kerr_table_row,
     refine_common,
     theorem_bound,
@@ -176,6 +177,23 @@ def test_bound_constants_validation():
         BoundConstants(gamma=np.array([1.0, np.nan, 1.0]), qL=ones, qa=ones, qe=ones)
     with pytest.raises(InvalidParameterError):
         BoundConstants(gamma=ones, qL=ones, qa=ones, qe=np.array([1.0, -1e-9, 1.0]))
+
+
+def test_bound_constants_reject_malformed_columns():
+    ones = np.ones(3)
+    # A (3, 1) gamma broadcast against (3,) columns to a 3 x 3 table, and
+    # interval_sum returned 66.79 where the 3-interval sum is 22.26.
+    assert interval_sum(BoundConstants(ones, ones, ones, ones), [0, 1, 2, 3], 2, 2) == \
+        pytest.approx(22.262987242963955, rel=1e-14)
+    with pytest.raises(InvalidParameterError):
+        BoundConstants(gamma=np.ones((3, 1)), qL=ones, qa=ones, qe=ones)
+    # Columns of different lengths failed later, with numpy's ValueError.
+    with pytest.raises(InvalidParameterError):
+        BoundConstants(gamma=ones, qL=np.ones(2), qa=ones, qe=ones)
+    # Scalars mix with columns; the column length is what interval_sum checks.
+    mixed = BoundConstants(gamma=1.0, qL=ones, qa=1.0, qe=1.0)
+    with pytest.raises(PartitionError):
+        interval_sum(mixed, [0, 1, 2, 3, 4], 2, 2)
 
 
 def test_kerr_constants_anchor():
@@ -496,6 +514,16 @@ def test_kerr_table_row_anchors():
     assert r99.bound == pytest.approx(0.16128804155765072, abs=1e-12)
     assert r99.residual == pytest.approx(r19.residual, abs=1e-15)
 
+
+
+def test_kerr_search_anchor():
+    # The joint search at the paper's k = 19 point, bit for bit. It runs the
+    # dense chain and the horizon cost that the block search shares, so a
+    # change to either that moves the search's path shows here.
+    res = kerr_search(19)
+    assert res.cost == 0.009609850368077735
+    assert res.nfev == 788
+    assert not res.search_failure
 
 def _mp_kerr_residual(mp, k, alpha=0.1):
     """Residual of the Kerr table row at level k in mpmath arithmetic.
