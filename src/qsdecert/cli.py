@@ -204,8 +204,7 @@ def cmd_bound(parser, args) -> int:
     if args.model == "kerr" and args.constants is None:
         if args.k is None:
             parser.error("builtin kerr evaluation needs --k")
-        _reject(parser, args, "builtin kerr evaluation",
-                ("partition", "amplitudes", "t_final"))
+        _reject(parser, args, "builtin kerr evaluation", ("partition", "amplitudes"))
         report = kerr_table_row(args.k, r=args.r, s=args.s,
                                 **_given(alpha=args.alpha, n_intervals=args.intervals))
         _emit(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", args.out)
@@ -213,11 +212,11 @@ def cmd_bound(parser, args) -> int:
 
     if args.constants is not None:
         _reject(parser, args, "--constants evaluation",
-                ("model", "k", "intervals", "amplitudes", "alpha", "t_final"))
+                ("model", "k", "intervals", "amplitudes", "alpha"))
     elif args.model is None:
         parser.error("need --model or --constants")
     else:
-        _reject(parser, args, "model-file evaluation", ("k", "intervals", "alpha", "t_final"))
+        _reject(parser, args, "model-file evaluation", ("k", "intervals", "alpha"))
     if args.partition is None:
         parser.error("rate-constant evaluation needs --partition")
     partition = _parse_partition(args.partition)
@@ -288,7 +287,6 @@ def _add_common(p, *, k_list=False, seed=True, seed_help=None, orders=True,
     if orders:
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--s", type=int, default=2)
-    p.add_argument("--t-final", type=float, dest="t_final")
     p.add_argument("--intervals", type=int)
     p.add_argument("--alpha", type=complex)
     if seed:
@@ -311,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("kerr-table", help="Kerr cavity truncation benchmark")
     _add_common(p, k_list=True,
                 seed_help="search seed, with --optimize only (default 0)")
+    p.add_argument("--t-final", type=float)
     p.add_argument("--optimize", action="store_true",
                    help="search for the approximant instead of the bundled one")
     p.set_defaults(func=cmd_kerr_table)
@@ -318,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("ae-table", help="atom-cavity elimination benchmark")
     # No --seed: the block search is deterministic.
     _add_common(p, k_list=True, seed=False, orders=False)
+    p.add_argument("--t-final", type=float)
     p.add_argument("--blocks", type=int,
                    help="number of sequential optimization blocks")
     p.set_defaults(func=cmd_ae_table)
@@ -337,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("optimize", help="search for an approximant")
     _add_common(p, orders=False, formats=("json",),
                 seed_help="search seed, --model kerr only (default 0)")
+    p.add_argument("--t-final", type=float)
     p.add_argument("--model", choices=("kerr", "ae"), default="kerr")
     p.add_argument("--blocks", type=int, help="--model ae only (default 100)")
     p.set_defaults(func=cmd_optimize)

@@ -96,11 +96,19 @@ class SimpleFunction:
     def zero(cls, m: int, t_final: float):
         return cls.constant(np.zeros(m, dtype=complex), t_final)
 
+    def interval_index(self, ts) -> np.ndarray:
+        """Index of the interval holding each time in ts (a float or an array);
+        InvalidAmplitudeError for a time outside [0, t_final)."""
+        ts = np.asarray(ts, dtype=float)
+        outside = ~((ts >= 0.0) & (ts < self.t_final))
+        if outside.any():
+            raise InvalidAmplitudeError(
+                f"time {ts[outside].flat[0]} outside [0, {self.t_final})"
+            )
+        return np.searchsorted(self.breakpoints, ts, side="right") - 1
+
     def value_at(self, t: float) -> np.ndarray:
-        if t < 0 or t >= self.t_final:
-            raise InvalidAmplitudeError(f"time {t} outside [0, {self.t_final})")
-        i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return self.values[i]
+        return self.values[self.interval_index(t)]
 
     def durations(self) -> np.ndarray:
         return np.diff(self.breakpoints)
@@ -119,8 +127,7 @@ class SimpleFunction:
         """Re-express on a finer partition containing all original points."""
         bp = np.asarray(breakpoints, dtype=float)
         mids = 0.5 * (bp[:-1] + bp[1:])
-        vals = np.stack([self.value_at(t) for t in mids])
-        return SimpleFunction(bp, vals)
+        return SimpleFunction(bp, self.values[self.interval_index(mids)])
 
     def __eq__(self, other):
         return (

@@ -12,10 +12,11 @@ coefficients, so the optimal u_j are recovered exactly from the terms' Gram
 system at every evaluation.
 
 Both searches (joint simplex, block sweep) freeze the drive's dt-scaled
-`semigroup.affine_basis` on a fixed partition and build each candidate's
-generators from it: 2x2 models in Python scalar arithmetic with a closed-form
-exponential, larger ones contracted with `affine_coefficients` and passed to
-a dense exponential. `cost` stays on the reference `chain` path.
+`semigroup.affine_basis` on a fixed partition, and `_chain_row`, the one
+chain through a slice of it, builds each candidate's generators from it:
+2x2 models in Python scalar arithmetic, exponentiated by `_expm2`, the one
+2x2 closed form; other dimensions contracted with `affine_coefficients` and
+passed to the dense `_expm`. `cost` stays on the reference `chain` path.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ class OptimizeResult:
     search_failure: bool = False
 
 
-def _closed_forms2(gs) -> list:
+def _expm2(gs) -> list:
     """Entries (t00, t01, t10, t11) of exp(G) per 2x2 G in gs, given as
     (g00, g01, g10, g11): with mu the half trace, N = G - mu I squares to
     d^2 I, so exp(G) = e^mu (cosh(d) I + (sinh(d) / d) N), with a series near
@@ -263,15 +264,8 @@ def _closed_forms2(gs) -> list:
     return out
 
 
-def _expm2(M: np.ndarray) -> np.ndarray:
-    """Closed-form exponential of a 2x2 complex matrix or an (n, 2, 2) stack."""
-    M = np.asarray(M, dtype=complex)
-    out = _closed_forms2(M.reshape(-1, 4).tolist())
-    return np.array(out, dtype=complex).reshape(M.shape)
-
-
 def _expm(M: np.ndarray) -> np.ndarray:
-    """Dense exponential of one matrix; 2x2 stacks take _expm2 instead."""
+    """Dense exponential of one matrix; 2x2 generators take _expm2 instead."""
     import scipy.linalg
 
     return scipy.linalg.expm(M)
@@ -382,30 +376,27 @@ def _generators2(slices, betas) -> list:
     return out
 
 
-def _interval_exps(basis, betas):
-    """exp(dt_p G_p(beta_p)) per interval of a dt-scaled affine basis slice."""
-    G = np.einsum("pk,pkij->pij", affine_coefficients(betas), basis)
-    if G.shape[-1] == 2:
-        return _expm2(G)
-    return [_expm(M) for M in G]
-
-
 def _chain_row(row, basis, betas) -> np.ndarray:
-    """row T^(0) ... T^(P-1) over the intervals of a dt-scaled basis slice.
+    """row T^(0) ... T^(P-1) over the intervals of a dt-scaled basis slice,
+    for one row or a stack of rows (a matrix, whose product it returns).
 
-    A 2x2 model's row goes through the intervals in Python complex
-    arithmetic, with _generators2 and _closed_forms2: a search candidate
-    chains a few intervals, where numpy's per-call overhead would dominate.
+    A 2x2 model's exponentials come from _generators2 and _expm2 once per
+    call, and each row goes through them in Python complex arithmetic: a
+    search candidate chains a few intervals, where numpy's per-call overhead
+    would dominate. Other dimensions contract the basis with
+    affine_coefficients and take dense exponentials.
     """
-    if len(row) == 2:
-        r0, r1 = row.tolist()
+    if row.shape[-1] == 2:
         slices = basis.reshape(len(basis), -1, 4).tolist()
-        gs = _generators2(slices, np.asarray(betas).tolist())
-        for t00, t01, t10, t11 in _closed_forms2(gs):
-            r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t11
-        return np.array([r0, r1])
-    for T in _interval_exps(basis, betas):
-        row = row @ T
+        Ts = _expm2(_generators2(slices, np.asarray(betas).tolist()))
+        out = []
+        for r0, r1 in row.tolist() if row.ndim == 2 else [row.tolist()]:
+            for t00, t01, t10, t11 in Ts:
+                r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t11
+            out.append((r0, r1))
+        return np.array(out if row.ndim == 2 else out[0])
+    for M in np.einsum("pk,pkij->pij", affine_coefficients(betas), basis):
+        row = row @ _expm(M)
     return row
 
 
@@ -428,8 +419,7 @@ def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedu
     bp = common.breakpoints
     dts = np.diff(bp)
     mids = 0.5 * (bp[:-1] + bp[1:])
-    index = [np.searchsorted(g.breakpoints, mids, side="right") - 1
-             for _, g in template.terms]
+    index = [g.interval_index(mids) for _, g in template.terms]
     basis = affine_basis(model, common.values) * dts[:, None, None, None]
     row = np.asarray(u, dtype=complex).conj()
     us = np.array([uj for uj, _ in template.terms], dtype=complex)
@@ -513,15 +503,15 @@ class _BlockOptimizer:
     objective decreases monotonically. The chain overlap for term j is
     u^dag T^(0) ... T^(P-1) u_j; the row u^dag T^(0) ... T^(committed-1) is
     cached per term and the unswept tail enters through per-term suffix
-    products T^(hi) ... T^(P-1) (valid for a whole pass, since later blocks
-    keep their current values until their own sweep). Gram data (amplitude
-    L2 inner products) is kept as committed prefixes, block contributions and
-    a right-cumulative tail. A candidate for term j therefore costs L
-    exponentials for column j of the Gram matrix, term j's row through the
-    block's intervals (closed-form 2x2 exponentials in scalar arithmetic, or
-    dense ones for larger models) and one coefficient solve of which only
-    the cost is kept (see _term_objective). After every block the system
-    vectors are re-solved exactly from the Gram system.
+    products T^(hi) ... T^(P-1), kept only at block boundaries hi (valid for
+    a whole pass, since later blocks keep their current values until their
+    own sweep). Gram data (amplitude L2 inner products) is kept as committed
+    prefixes, block contributions and tail sums at the same boundaries. A
+    candidate for term j therefore costs L exponentials for column j of the
+    Gram matrix, term j's row through the block's intervals (see _chain_row)
+    and one coefficient solve of which only the cost is kept (see
+    _term_objective). After every block the system vectors are re-solved
+    exactly from the Gram system.
     """
 
     def __init__(self, model, psi, initial: ApproxState, schedule: OptimizeSchedule):
@@ -558,24 +548,25 @@ class _BlockOptimizer:
         # Committed prefixes (over intervals [0, committed)).
         self.rows = [self.u.conj().copy() for _ in range(self.L)]
         self.g_inner = np.zeros((self.L, self.L), dtype=complex)
-        # Tail data (suffix chain products and right-cumulative Gram sums),
-        # rebuilt once per pass from the values the unswept blocks carry.
+        # Tail data per block boundary (suffix chain products and Gram sums),
+        # built once per pass from the values the unswept blocks carry.
         self.suffix = None
         self.tail_gram = None
 
-    def _build_tail(self):
+    def _build_tail(self, bs: int):
+        """Tail data at the right end hi of each of run()'s blocks of bs
+        intervals: per-term suffix products T^(hi) ... T^(P-1) as (L, d, d)
+        and Gram sums over [hi, P), built right to left block by block."""
         eye = np.eye(self.dim, dtype=complex)
-        self.suffix = np.empty((self.L, self.P + 1, self.dim, self.dim), dtype=complex)
-        for i in range(self.L):
-            Ts = _interval_exps(self.basis, self.vals[i])
-            acc = self.suffix[i, self.P] = eye
-            for p in range(self.P - 1, -1, -1):
-                acc = self.suffix[i, p] = Ts[p] @ acc  # T(p) ... T(P-1)
-        per_interval = np.einsum(
-            "p,ipc,lpc->pil", self.dts, np.conj(self.vals), self.vals
-        )
-        self.tail_gram = np.zeros((self.P + 1, self.L, self.L), dtype=complex)
-        self.tail_gram[:self.P] = np.cumsum(per_interval[::-1], axis=0)[::-1]
+        self.suffix = {self.P: np.array([eye] * self.L)}
+        self.tail_gram = {self.P: np.zeros((self.L, self.L), dtype=complex)}
+        for lo in reversed(range(bs, self.P, bs)):
+            hi = min(lo + bs, self.P)
+            self.suffix[lo] = np.array([
+                _chain_row(eye, self.basis[lo:hi], self.vals[i, lo:hi]) @ self.suffix[hi][i]
+                for i in range(self.L)
+            ])
+            self.tail_gram[lo] = self._gram(lo, hi) + self.tail_gram[hi]
 
     def _gram(self, lo: int, hi: int) -> np.ndarray:
         return _gram(self.dts[lo:hi], self.vals[:, lo:hi])
@@ -583,7 +574,7 @@ class _BlockOptimizer:
     def _block_q(self, lo: int, hi: int, i: int) -> np.ndarray:
         """Term i's chain row u^dag T^(0) ... T^(P-1) at its current values."""
         row = _chain_row(self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi])
-        return row @ self.suffix[i, hi]
+        return row @ self.suffix[hi][i]
 
     def _term_objective(self, lo: int, hi: int, j: int, qs: np.ndarray):
         """evaluate(beta) -> full-horizon cost with term j's values on block
@@ -607,7 +598,7 @@ class _BlockOptimizer:
         weights = dts * np.conj(self.vals[:, lo:hi].reshape(self.L, -1))
         col_rest = base[:, j] - weights @ self.vals[j, lo:hi].ravel()
         qs = qs.copy()
-        basis, row, suffix = self.basis[lo:hi], self.rows[j], self.suffix[j, hi]
+        basis, row, suffix = self.basis[lo:hi], self.rows[j], self.suffix[hi][j]
         penalty = self.schedule.u_penalty
 
         def evaluate(beta):
@@ -657,7 +648,7 @@ class _BlockOptimizer:
 
     def run(self):
         bs = self.schedule.block_size
-        self._build_tail()
+        self._build_tail(bs)
         for lo in range(0, self.P, bs):
             hi = min(lo + bs, self.P)
             self._sweep_block(lo, hi)

@@ -59,6 +59,8 @@ def test_simple_function_evaluation():
         f.value_at(2.0)
     with pytest.raises(InvalidAmplitudeError):
         f.value_at(-0.01)
+    with pytest.raises(InvalidAmplitudeError):
+        f.value_at(float("nan"))
 
 
 def test_simple_function_inner_product():
@@ -83,6 +85,8 @@ def test_with_breakpoints_preserves_values():
     g = f.with_breakpoints(np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
     np.testing.assert_array_equal(g.values.ravel(), [1.0, 1.0, 2.0, 2.0])
     assert g.norm_sq() == pytest.approx(f.norm_sq(), rel=1e-14)
+    with pytest.raises(InvalidAmplitudeError):  # midpoint 2.5 lies past t_final
+        f.with_breakpoints(np.array([0.0, 1.0, 2.0, 3.0]))
 
 
 def test_equality_and_hash():

@@ -22,6 +22,7 @@ from qsdecert import (
     cost,
     exp_inner,
     exp_norm,
+    generator,
     kerr_cavity,
     limit_coefficients,
     optimize,
@@ -167,6 +168,12 @@ def test_cost_invariant_under_term_permutation():
     assert a == pytest.approx(b, abs=1e-10)
 
 
+def _expm2_matrices(mats):
+    """_expm2 of an (n, 2, 2) stack, through its (g00, g01, g10, g11) tuples."""
+    mats = np.asarray(mats, dtype=complex)
+    return np.array(_expm2(mats.reshape(-1, 4).tolist())).reshape(mats.shape)
+
+
 def test_expm2_matches_dense_expm():
     rng = np.random.default_rng(12345)
     worst = 0.0
@@ -174,12 +181,12 @@ def test_expm2_matches_dense_expm():
         scale = 10.0 ** rng.uniform(-3, 2)
         m = scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         ref = sla.expm(m)
-        err = np.abs(_expm2(m) - ref).max() / max(np.abs(ref).max(), 1.0)
+        err = np.abs(_expm2_matrices([m])[0] - ref).max() / max(np.abs(ref).max(), 1.0)
         worst = max(worst, err)
     assert worst <= 1e-11
     # nilpotent branch (d = 0) is exact
     np.testing.assert_allclose(
-        _expm2(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
+        _expm2_matrices([[[0.0, 1.0], [0.0, 0.0]]])[0],
         np.array([[1.0, 1.0], [0.0, 1.0]]),
         atol=1e-15,
     )
@@ -270,8 +277,8 @@ def test_expm2_stack_matches_per_matrix_and_scipy(kinds, seed):
     stack = np.array(mats)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _expm2(stack)
-        single = np.array([_expm2(M) for M in mats])
+        out = _expm2_matrices(stack)
+        single = np.array([_expm2_matrices([M])[0] for M in mats])
     assert out.shape == stack.shape
     np.testing.assert_allclose(out, single, rtol=1e-14, atol=0.0)
     for M, E in zip(mats, out):
@@ -441,7 +448,7 @@ def test_block_objective_matches_reference_cost(family, penalty, support):
     terms = [(draw(dim), SimpleFunction(bps, 0.1 * draw(6, 1))) for _ in range(3)]
     schedule = OptimizeSchedule(block_size=2, u_support=support, u_penalty=penalty)
     opt = _BlockOptimizer(model, psi, ApproxState(terms), schedule)
-    opt._build_tail()
+    opt._build_tail(2)
     opt._commit_block(0, 2)
     lo, hi = 2, 4
     qs = np.array([opt._block_q(lo, hi, i) for i in range(opt.L)])
@@ -459,3 +466,38 @@ def test_block_objective_matches_reference_cost(family, penalty, support):
                              for i in range(opt.L)])
         assert value == pytest.approx(cost(model, psi, state), rel=0.0, abs=1e-12)
     assert not opt.failed
+
+
+@pytest.mark.parametrize("P, bs", [(6, 2), (7, 3)])
+@pytest.mark.parametrize("family", ["atom_cavity", "kerr"])
+def test_block_tails_match_interval_products(family, P, bs):
+    # The tails exist at the right end hi of every block, the ragged last
+    # block of P = 7, bs = 3 included: suffix[hi][i] is the ordered product of
+    # term i's interval exponentials over [hi, P), tail_gram[hi] the Gram sum
+    # there.
+    model = limit_coefficients(atom_cavity_ae(25.0, 5.0, 0.1)) if family == "atom_cavity" \
+        else MODEL
+    dim = model.dim
+    rng = np.random.default_rng(7)
+    bps = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.15, P))])
+    dts = np.diff(bps)
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    f = SimpleFunction(bps, 0.1 * draw(P, 1))
+    terms = [(draw(dim), SimpleFunction(bps, 0.3 * draw(P, 1))) for _ in range(3)]
+    opt = _BlockOptimizer(model, (_e(0, dim), f), ApproxState(terms),
+                          OptimizeSchedule(block_size=bs))
+    opt._build_tail(bs)
+    boundaries = [*range(bs, P, bs), P]
+    assert sorted(opt.suffix) == sorted(opt.tail_gram) == boundaries
+    for hi in boundaries:
+        for i, (_, gi) in enumerate(terms):
+            ref = np.eye(dim)
+            for p in range(hi, P):
+                ref = ref @ sla.expm(dts[p] * generator(model, f.values[p], gi.values[p]))
+            assert np.abs(opt.suffix[hi][i] - ref).max() <= 1e-12
+        gram = np.array([[sum(dts[p] * np.vdot(gi.values[p], gl.values[p])
+                              for p in range(hi, P))
+                          for _, gl in terms] for _, gi in terms])
+        assert np.abs(opt.tail_gram[hi] - gram).max() <= 1e-12

@@ -1,6 +1,7 @@
 """The benchmark's tracer and workloads, and every module's __all__, name
-program objects that exist; scipy's expm has only its known callers; scipy
-loads only in the commands that call it."""
+program objects that exist; the searches reach the tracer's exponential
+layers; scipy's expm has only its known callers; scipy loads only in the
+commands that call it."""
 
 import ast
 import importlib
@@ -12,6 +13,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import qsdecert
 import qsdecert.cli
@@ -67,6 +70,37 @@ def test_tracer_reaches_nelder_mead():
     # perfbench/tracing.py wraps the searches' Nelder-Mead at this path.
     states = importlib.import_module("qsdecert.states")
     assert states.scipy.optimize.minimize is importlib.import_module("scipy.optimize").minimize
+
+
+def _counted(monkeypatch, module, names):
+    """Replace module.<name> for each name by a wrapper counting its calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _fn=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def test_searches_reach_the_traced_exponentials(monkeypatch):
+    # perfbench/tracing.py's states.expm2 and states.expm_dense layers wrap
+    # states._expm2 and states._expm: the 2x2 block search must take only the
+    # first, the Kerr search (dimension k + 1 > 2) only the second.
+    states = importlib.import_module("qsdecert.states")
+    counts = _counted(monkeypatch, states, ("_expm2", "_expm"))
+    model = qsdecert.limit_coefficients(qsdecert.atom_cavity_ae(25.0, 5.0, 0.1))
+    u0 = np.array([0.0, 1.0], dtype=complex)
+    f = qsdecert.SimpleFunction.constant([0.1], 1.0)
+    g = qsdecert.SimpleFunction(np.linspace(0.0, 1.0, 5), np.full((4, 1), 0.1))
+    initial = qsdecert.ApproxState([(u0, g), (u0, g)])
+    qsdecert.optimize(model, (u0, f), initial,
+                      qsdecert.OptimizeSchedule(block_size=2, max_iter=20))
+    assert counts["_expm2"] > 0 and counts["_expm"] == 0
+    counts.update(_expm2=0, _expm=0)
+    qsdecert.kerr_search(2, t_final=0.5)
+    assert counts["_expm"] > 0 and counts["_expm2"] == 0
 
 
 def test_every_exported_name_resolves():

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdecert import (
@@ -50,7 +50,9 @@ def _z_reference(gamma, qL, qa, qe, r, s, t):
     """z_bound for one interval, written as the scalar loop over the five
     pieces: the reference for the array kernel. It takes numpy's exp and
     expm1, which round as the kernel's do, so both sides lose the same digits
-    to the cancellation in e^{-a_i t} - e^{-a_j t} on short intervals."""
+    to the cancellation in e^{-a_i t} - e^{-a_j t} on short intervals. Where
+    a_i t = 2^{-i} gamma t underflows to 0 while t > 0, a single-sum piece
+    takes its limit c_i t, as the kernel does."""
     if t == 0.0 or qL == 0.0:
         return 0.0
     g = gamma
@@ -58,21 +60,17 @@ def _z_reference(gamma, qL, qa, qe, r, s, t):
     A = qa / g
     cs = c_sequence(max(r, s))
 
+    def saturating(i):
+        y = (2.0**-i) * g * t
+        if y == 0.0:
+            return cs[i] * t
+        return (2**i * cs[i] / g) * -np.expm1(-y)
+
     total = t * E ** (1.0 - 2.0**-r) * A ** (1.0 - 2.0**-s)
     for i in range(r):
-        total += (
-            (2**i * cs[i] / g)
-            * -np.expm1(-(2.0**-i) * g * t)
-            * E ** (1.0 - 2.0**-i)
-            * A ** (1.0 - 2.0**-s)
-        )
+        total += saturating(i) * E ** (1.0 - 2.0**-i) * A ** (1.0 - 2.0**-s)
     for i in range(s):
-        total += (
-            (2**i * cs[i] / g)
-            * -np.expm1(-(2.0**-i) * g * t)
-            * A ** (1.0 - 2.0**-i)
-            * E ** (1.0 - 2.0**-r)
-        )
+        total += saturating(i) * A ** (1.0 - 2.0**-i) * E ** (1.0 - 2.0**-r)
     for i in range(r):
         ei = np.exp(-(2.0**-i) * g * t)
         for j in range(s):
@@ -279,6 +277,9 @@ def test_z_bound_not_monotone_in_time():
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rate_inputs())
+# a_0 t = 0.1 * 5e-324 underflows to 0 at a subnormal, nonzero t
+@example((BoundConstants(*np.array([[0.1], [1.0], [0.0], [1.0]])),
+          np.array([5e-324]), 1, 1))
 def test_z_bound_array_matches_scalar_reference(inputs):
     c, t, r, s = inputs
     z = z_bound(c, r, s, t)
