@@ -16,7 +16,6 @@ k is a finite integer >= 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +26,13 @@ from .errors import (
     InvalidModelError,
     InvalidParameterError,
     StructuralModelError,
+    as_level,
 )
 from .models import SlhModel
 from .operators import adjoint, annihilation, creation, number, opnorm, tensor
 from .semigroup import SimpleFunction, _generators, generator
 from .states import ApproxState, OptimizeResult, OptimizeSchedule, optimize
-from .truncation import CertificateReport, _finite_and, certifier
+from .truncation import CertificateReport, _check_rates, _durations, certifier
 
 __all__ = [
     "AeModel",
@@ -134,23 +134,13 @@ class AeModel:
         return f"AeModel({self.label!r}, dim={self.dim}, J_max={self.J_max})"
 
 
-def _scaling(k) -> int:
-    """k as an int; InvalidParameterError unless k is a finite integer >= 1."""
-    try:
-        if k >= 1 and math.isfinite(k) and k == int(k):
-            return int(k)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidParameterError(f"scaling parameter must be a finite integer >= 1, "
-                                f"got {k}")
-
-
 @dataclass(frozen=True)
 class AeConstants:
     """Reduction-error rates M1, M2 at scaling parameter k.
 
-    M1 and M2 are scalars, or equal-length columns with one entry per
-    interval (compare such instances field by field, not with ==).
+    M1 and M2 are nonnegative rates under `truncation._check_rates`' rule:
+    scalars, or 1-d columns of one length with one entry per interval
+    (compare such instances field by field, not with ==); k is a level.
     """
 
     M1: float
@@ -158,10 +148,8 @@ class AeConstants:
     k: float
 
     def __post_init__(self):
-        for name in ("M1", "M2"):
-            if not _finite_and(getattr(self, name), operator.ge):
-                raise InvalidParameterError(f"{name} must be finite and >= 0")
-        _scaling(self.k)
+        _check_rates(self, ("M1", "M2"))
+        as_level(self.k, "scaling parameter")
 
 
 def _amps(x, m):
@@ -191,8 +179,13 @@ def ae_operators(model: AeModel, alpha, beta):
     return Aab, Bab
 
 
-def _limit_blocks(model: AeModel):
-    """Raw limit coefficient blocks on H0, before validity checks."""
+def limit_coefficients(model: AeModel) -> SlhModel:
+    """Reduced (S, L, H) on the slow space H0.
+
+    The assembled scattering block must be unitary to 1e-10: larger defects
+    raise StructuralModelError, smaller ones are projected out. H = (X -
+    X^dag) / 2i is self-adjoint by construction, and SlhModel checks it.
+    """
     E = model.embedding()
     Ed = adjoint(E)
     d0 = E.shape[1]
@@ -215,18 +208,6 @@ def _limit_blocks(model: AeModel):
         L.append(adjoint(Lj_adj))
     X = Ed @ (model.B - model.A @ Yt @ model.A) @ E
     H = (X - adjoint(X)) / 2j
-    assert np.allclose(H, adjoint(H))
-    return S, L, H, d0
-
-
-def limit_coefficients(model: AeModel) -> SlhModel:
-    """Reduced (S, L, H) on the slow space H0.
-
-    The assembled scattering block must be unitary and the Hamiltonian
-    self-adjoint to 1e-10; defects above that raise, defects below are
-    projected out before the model is constructed.
-    """
-    S, L, H, d0 = _limit_blocks(model)
 
     big = np.block([[S[j][i] for i in range(model.m)] for j in range(model.m)])
     defect = opnorm(big @ adjoint(big) - np.eye(model.m * d0))
@@ -288,7 +269,7 @@ def _m_matrices(model: AeModel, G, alpha, beta):
 def _rates(matrices, k) -> AeConstants:
     """M1, M2 at scaling parameter k from _m_matrices' (P1, Q1, P2, Q2), or
     per-interval columns of them from (n, d, d0) stacks of those matrices."""
-    k = _scaling(k)
+    k = as_level(k, "scaling parameter")
     P1, Q1, P2, Q2 = matrices
     M1, M2 = (np.linalg.norm(X, 2, axis=(-2, -1)) for X in (P1 + Q1 / k, P2 + Q2 / k))
     return AeConstants(M1=M1, M2=M2, k=float(k))
@@ -306,14 +287,9 @@ def ae_semigroup_error(const: AeConstants, t):
 
     M1, M2 and t are scalars or per-interval columns that broadcast against
     each other; all-scalar input returns a float. Every t must be finite and
-    nonnegative.
+    nonnegative (`truncation._durations`, z_bound's check).
     """
-    t = np.asarray(t, dtype=float)
-    bad = ~(np.isfinite(t) & (t >= 0))
-    if bad.any():
-        raise InvalidParameterError(
-            f"time must be finite and nonnegative, got {t[bad].flat[0]}"
-        )
+    t = _durations(t)
     z = (2.0 * const.M1 + t * const.M2) / const.k
     return float(z) if z.ndim == 0 else z
 
@@ -336,7 +312,7 @@ def _ae_certifier(model: AeModel, reduced: SlhModel, psi, psi_prime: ApproxState
     certify = certifier(reduced, psi, psi_prime, f_prime, term_rates)
 
     def certify_at(k) -> CertificateReport:
-        k = _scaling(k)
+        k = as_level(k, "scaling parameter")
         report = certify(lambda mats, dts: ae_semigroup_error(_rates(mats, k), dts), k=k)
         report.k_scaling = 2.0 * report.z_sum
         return report

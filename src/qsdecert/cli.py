@@ -32,7 +32,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .adiabatic import ae_certificate_table
-from .errors import InvalidParameterError, NumericError, PartitionError, QsdeCertError
+from .errors import (
+    InvalidParameterError,
+    NumericError,
+    PartitionError,
+    QsdeCertError,
+    as_level,
+)
 from .models import model_from_json
 from .truncation import (
     CSV_HEADER,
@@ -91,10 +97,10 @@ def _render_reports(reports, fmt: str, extra: dict | None = None) -> str:
 
 def _level(text: str) -> int:
     """argparse type of a truncation or scaling level: an integer >= 1."""
-    k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"levels must be >= 1, got {k}")
-    return k
+    try:
+        return as_level(int(text), "levels")
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _levels(text: str) -> list[int]:
@@ -159,23 +165,19 @@ RATE_KEYS = ("gamma", "qL", "qa", "qe")
 
 
 def _load_constants(path):
-    """(4, n) float columns gamma, qL, qa, qe of a constants file, and the
-    first entry's level k (or None). Validation is BoundConstants'."""
+    """Columns gamma, qL, qa, qe of a constants file, and the first entry's
+    level k (or None). Validation is BoundConstants'."""
     data = _load_json(path)
     if isinstance(data, dict):
         data = [data]
     try:
-        rates = np.array([[entry[key] for entry in data] for key in RATE_KEYS])
+        rates = [np.array([entry[key] for entry in data]) for key in RATE_KEYS]
         k = data[0].get("k") if data else None
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(
             f"{path}: each entry needs numeric gamma, qL, qa, qe (got {exc})"
         ) from exc
-    if rates.ndim != 2 or rates.dtype.kind not in "biuf":
-        raise InvalidParameterError(
-            f"{path}: each entry needs numeric gamma, qL, qa, qe"
-        )
-    return rates.astype(float), k
+    return rates, k
 
 
 def _parse_partition(text: str) -> list[float]:
@@ -276,14 +278,15 @@ def cmd_verify(parser, args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _add_common(p, *, k_list=False, seed=True, seed_help=None, orders=True,
-                formats=("csv", "json")):
-    # Unset scenario flags stay None, and _given leaves them out of library calls.
-    levels = p.add_mutually_exclusive_group() if k_list else p
+def _add_common(p, *, table=False, seed=True, seed_help=None, orders=True):
+    # Unset scenario flags stay None, and _given leaves them out of library
+    # calls. Only the tables take --k-list and --format.
+    levels = p.add_mutually_exclusive_group() if table else p
     levels.add_argument("--k", type=_level, help="single level")
-    if k_list:
+    if table:
         levels.add_argument("--k-list", type=_levels,
                             help="comma-separated levels (default: the paper's)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     if orders:
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--s", type=int, default=2)
@@ -292,7 +295,6 @@ def _add_common(p, *, k_list=False, seed=True, seed_help=None, orders=True,
     if seed:
         p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add_parser("kerr-table", help="Kerr cavity truncation benchmark")
-    _add_common(p, k_list=True,
+    _add_common(p, table=True,
                 seed_help="search seed, with --optimize only (default 0)")
     p.add_argument("--t-final", type=float)
     p.add_argument("--optimize", action="store_true",
@@ -316,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("ae-table", help="atom-cavity elimination benchmark")
     # No --seed: the block search is deterministic.
-    _add_common(p, k_list=True, seed=False, orders=False)
+    _add_common(p, table=True, seed=False, orders=False)
     p.add_argument("--t-final", type=float)
     p.add_argument("--blocks", type=int,
                    help="number of sequential optimization blocks")
     p.set_defaults(func=cmd_ae_table)
 
     p = add_parser("bound", help="generic certificate evaluator")
-    _add_common(p, seed=False, formats=("json",))
+    _add_common(p, seed=False)
     p.add_argument("--model", default=None,
                    help="'kerr' or a path to a model JSON file")
     p.add_argument("--constants", default=None,
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = add_parser("optimize", help="search for an approximant")
-    _add_common(p, orders=False, formats=("json",),
+    _add_common(p, orders=False,
                 seed_help="search seed, --model kerr only (default 0)")
     p.add_argument("--t-final", type=float)
     p.add_argument("--model", choices=("kerr", "ae"), default="kerr")

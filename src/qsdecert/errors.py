@@ -4,6 +4,8 @@ Every failure mode raised by the library derives from :class:`QsdeCertError`
 so callers can catch library errors without masking programming errors.
 """
 
+import math
+
 
 class QsdeCertError(Exception):
     """Base class for all qsdecert errors."""
@@ -71,3 +73,14 @@ class NumericError(QsdeCertError):
 
 class ReferenceUnconvergedWarning(UserWarning):
     """A reference-level computation changed materially when refined."""
+
+
+def as_level(value, what: str) -> int:
+    """A level, order or scaling parameter `what` as an int: value must be a
+    finite integer >= 1 such as 19, np.int64(19) or 19.0."""
+    try:
+        if value >= 1 and math.isfinite(value) and value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameterError(f"{what} must be a finite integer >= 1, got {value!r}")

@@ -19,6 +19,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
     UnsupportedModelError,
+    as_level,
 )
 from .operators import adjoint, annihilation, creation, opnorm, tensor
 
@@ -141,10 +142,9 @@ def kerr_cavity(lam: float, delta: float, chi: float, k: int) -> SlhModel:
     Single channel; L = sqrt(lam) a and H diagonal with
     H|n> = (delta*n + chi*n*(n-1)) |n> on dimension k+1.
     """
+    k = as_level(k, "truncation level")
     if lam <= 0:
         raise InvalidParameterError(f"field coupling rate must be positive, got {lam}")
-    if k < 1:
-        raise InvalidParameterError(f"truncation level must be >= 1, got {k}")
     dim = k + 1
     a = annihilation(dim)
     n = np.arange(dim, dtype=float)
@@ -168,10 +168,9 @@ def atom_cavity(lam: float, chi: float, k: int) -> SlhModel:
     atomic factor slow. H = i*chi*(sp (x) a - sm (x) a*) with sp = |e><+|,
     and L = I (x) sqrt(lam) a.
     """
+    k = as_level(k, "truncation level")
     if lam <= 0 or chi <= 0:
         raise InvalidParameterError("rates must be positive")
-    if k < 1:
-        raise InvalidParameterError(f"truncation level must be >= 1, got {k}")
     df = k + 1
     a = annihilation(df)
     sp = np.zeros((3, 3), dtype=complex)
@@ -211,11 +210,10 @@ def truncate(model: SlhModel, k: int) -> SlhModel:
         raise UnsupportedModelError(
             "truncation is only defined for models with identity scattering"
         )
+    k = as_level(k, "target level")
     k_src = model.factor_dims[-1] - 1
-    if k < 1 or k >= k_src:
-        raise InvalidParameterError(
-            f"target level must satisfy 1 <= k < {k_src}, got {k}"
-        )
+    if k >= k_src:
+        raise InvalidParameterError(f"target level must be < {k_src}, got {k}")
     E = _fock_embedding(model.factor_dims, k)
     Ed = adjoint(E)
     L = [Ed @ Lj @ E for Lj in model.L]

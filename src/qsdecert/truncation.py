@@ -13,7 +13,6 @@ it for both routes: truncation passes z_{r,s} and adiabatic elimination its
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import (
     NumericError,
     PartitionError,
     UnsupportedModelError,
+    as_level,
 )
 from .models import SlhModel, kerr_cavity
 from .operators import basis_state
@@ -74,11 +74,8 @@ _C_TABLE = _c_table()
 
 def c_sequence(n: int) -> list[float]:
     """c_0 .. c_{n-1} with c_0 = 1, c_j = sqrt(c_{j-1} 2^j / (2^j - 1))."""
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    if n > len(_C_TABLE):
-        return list(_C_TABLE) + [_C_TABLE[-1]] * (n - len(_C_TABLE))
-    return list(_C_TABLE[:n])
+    n = as_level(n, "sequence length")
+    return list(_C_TABLE[:n]) + [_C_TABLE[-1]] * max(0, n - len(_C_TABLE))
 
 
 # The coefficients 2^i c_i and 2^{i+j} / (2^i - 2^j) hold powers of two up to
@@ -92,9 +89,9 @@ MAX_ORDER_SUM = 1025
 class BoundConstants:
     """Rates feeding z_bound, and the truncation level k they belong to.
 
-    gamma, qL, qa, qe are scalars, or equal-length 1-d columns with one entry
-    per interval (compare such instances field by field, not with ==); other
-    shapes raise InvalidParameterError.
+    gamma > 0, qL, qa, qe >= 0 are scalars, or 1-d columns of one length with
+    one entry per interval (compare such instances field by field, not with
+    ==); `_check_rates` holds the rule.
     """
 
     gamma: float
@@ -104,28 +101,44 @@ class BoundConstants:
     k: int | None = None
 
     def __post_init__(self):
-        shapes = {v.shape for v in (self.gamma, self.qL, self.qa, self.qe)
-                  if isinstance(v, np.ndarray) and v.ndim}
-        if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
-            raise InvalidParameterError(
-                "rates must be scalars or 1-d columns of one length, "
-                f"got shapes {sorted(shapes)}"
-            )
-        if not _finite_and(self.gamma, operator.gt):
-            raise DegenerateRateError(f"gamma must be finite and positive, got {self.gamma}")
-        for name in ("qL", "qa", "qe"):
-            if not _finite_and(getattr(self, name), operator.ge):
-                raise InvalidParameterError(f"{name} must be finite and >= 0")
+        _check_rates(self, ("gamma", "qL", "qa", "qe"), positive="gamma")
 
 
-def _finite_and(v, compare) -> bool:
-    """Whether v, a scalar or a column, is finite and compares true with 0
-    everywhere. Scalars skip numpy: its check takes about 5 us a field
-    against 0.4 us, and the rate-bounds benchmark builds thousands of scalar
-    instances per round (without this path, its setup_s rose by about 40 %)."""
-    if isinstance(v, np.ndarray):
-        return bool((np.isfinite(v) & compare(v, 0)).all())
-    return bool(compare(v, 0)) and math.isfinite(v)
+def _check_rates(record, names, positive=None) -> None:
+    """The rate rule of BoundConstants and AeConstants: each named field is a
+    real scalar or 0-d or 1-d real ndarray, 1-d ones share one length, entries
+    are finite and >= 0, or > 0 for `positive` (else DegenerateRateError);
+    lists and other shapes raise InvalidParameterError. Scalars skip numpy
+    (0.4 us a field against 5 us): rate-bounds builds thousands per round."""
+    lengths = set()
+    for name in names:
+        v = getattr(record, name)
+        strict = name == positive
+        if isinstance(v, np.ndarray) and v.ndim <= 1 and v.dtype.kind in "biuf":
+            lengths.update(v.shape)
+            ok = (np.isfinite(v) & ((v > 0) if strict else (v >= 0))).all()
+        elif isinstance(v, (int, float, np.integer, np.floating)):
+            ok = (v > 0 if strict else v >= 0) and math.isfinite(v)
+        else:
+            got = (f"{v.ndim}-d {v.dtype} array" if isinstance(v, np.ndarray)
+                   else type(v).__name__)
+            raise InvalidParameterError(f"{name} must be numeric, a real scalar or "
+                                        f"1-d array, got {got}")
+        if not ok:
+            raise (DegenerateRateError if strict else InvalidParameterError)(
+                f"{name} must be finite and {'>' if strict else '>='} 0, got {v}")
+    if len(lengths) > 1:
+        raise InvalidParameterError(f"rate columns differ in length: {sorted(lengths)}")
+
+
+def _durations(t) -> np.ndarray:
+    """t as a float array; InvalidParameterError unless every entry is a
+    finite, nonnegative time (the rule of z_bound and ae_semigroup_error)."""
+    t = np.asarray(t, dtype=float)
+    bad = t[~(np.isfinite(t) & (t >= 0))]
+    if bad.size:
+        raise InvalidParameterError(f"time must be finite and nonnegative, got {bad[0]}")
+    return t
 
 
 def z_bound(c: BoundConstants, r: int, s: int, t):
@@ -142,9 +155,10 @@ def z_bound(c: BoundConstants, r: int, s: int, t):
     evaluates every interval; all-scalar input returns a float. z is exactly
     0.0 where t == 0 or qL == 0.
 
-    Orders: r, s >= 1 and r + s <= MAX_ORDER_SUM (1025), so that every
-    coefficient 2^i c_i and 2^{i+j} / (2^i - 2^j) is a finite double; other
-    orders raise InvalidParameterError. The kernel forms those coefficients
+    Orders: r, s are levels (errors.as_level) and r + s <= MAX_ORDER_SUM
+    (1025), so that every coefficient 2^i c_i and 2^{i+j} / (2^i - 2^j) is a
+    finite double; other orders, and times that fail `_durations`, raise
+    InvalidParameterError. The kernel forms those coefficients
     over gamma as 1 / a_i and 1 / (a_j - a_i), with a_i = 2^{-i} gamma, so
     admitted orders give a finite z for small gamma too (gamma = 0.1 at
     r = 1024, say). Rates so extreme that a piece overflows, or that a_i and
@@ -161,19 +175,13 @@ def z_bound(c: BoundConstants, r: int, s: int, t):
     below its nondecreasing part, and once the transients have died out z
     increases again (strictly when qL, qa, qe > 0).
     """
-    if r < 1 or s < 1:
-        raise InvalidParameterError("orders r, s must be >= 1")
+    r, s = as_level(r, "order r"), as_level(s, "order s")
     if r + s > MAX_ORDER_SUM:
         raise InvalidParameterError(
             f"orders r + s must be <= {MAX_ORDER_SUM} so that the coefficients "
             f"are finite, got r={r}, s={s}"
         )
-    t = np.asarray(t, dtype=float)
-    bad = ~(np.isfinite(t) & (t >= 0))
-    if bad.any():
-        raise InvalidParameterError(
-            f"time must be finite and nonnegative, got {t[bad].flat[0]}"
-        )
+    t = _durations(t)
     g = np.asarray(c.gamma, dtype=float)
     qL = np.asarray(c.qL, dtype=float)
     n = max(r, s)
@@ -223,8 +231,7 @@ def kerr_constants(k: int, alpha: complex, beta: complex, lam: float) -> BoundCo
     The amplitudes alpha, beta are scalars, or per-interval arrays that give
     per-interval rate columns (as do atom_cavity_constants and constants_for).
     """
-    if k < 1:
-        raise InvalidParameterError(f"level must be >= 1, got {k}")
+    k = as_level(k, "truncation level")
     if lam <= 0:
         raise InvalidParameterError(f"coupling must be positive, got {lam}")
     return BoundConstants(
@@ -239,8 +246,7 @@ def kerr_constants(k: int, alpha: complex, beta: complex, lam: float) -> BoundCo
 def atom_cavity_constants(k: int, alpha: complex, beta: complex,
                           lam: float, chi: float) -> BoundConstants:
     """Rates for the atom-cavity model truncated at field level k."""
-    if k < 1:
-        raise InvalidParameterError(f"level must be >= 1, got {k}")
+    k = as_level(k, "truncation level")
     if lam <= 0 or chi < 0:
         raise InvalidParameterError("need lam > 0 and chi >= 0")
     rl = math.sqrt(lam)
@@ -272,11 +278,13 @@ def constants_for(model: SlhModel, alpha: complex, beta: complex) -> BoundConsta
 def interval_sum(c: BoundConstants, partition, r: int, s: int) -> float:
     """Sum of z_bound over a partition, in one z_bound call.
 
-    The rates of c are scalars (or one-entry columns) shared by every
-    interval, or per-interval columns; a column of any other length raises
-    PartitionError.
+    The partition is 1-d with at least two breakpoints; c's rates are shared
+    scalars (or one-entry columns) or per-interval columns. Anything else
+    raises PartitionError.
     """
     partition = np.asarray(partition, dtype=float)
+    if partition.ndim != 1 or partition.size < 2:
+        raise PartitionError(f"need a 1-d partition of >= 2 breakpoints, got {partition}")
     n_consts = max(np.size(v) for v in (c.gamma, c.qL, c.qa, c.qe))
     if n_consts not in (1, partition.size - 1):
         raise PartitionError(
@@ -462,6 +470,7 @@ def kerr_reference_state(dim: int) -> ApproxState:
 def kerr_search(k: int = KERR_KS[0], *, alpha: complex = KERR_ALPHA,
                 t_final: float = KERR_T_FINAL, seed: int = 0) -> OptimizeResult:
     """Cold-start joint search for the Kerr benchmark approximant at level k."""
+    k = as_level(k, "truncation level")
     model = kerr_cavity(KERR_LAM, KERR_DELTA, KERR_CHI, k)
     f = SimpleFunction.constant([alpha], t_final)
     template = SimpleFunction([0.0, 0.1 * t_final, t_final], [[alpha], [alpha]])
@@ -476,6 +485,7 @@ def kerr_table_row(k: int, *, alpha: complex = KERR_ALPHA,
                    r: int = 2, s: int = 2,
                    state: ApproxState | None = None) -> CertificateReport:
     """One Kerr benchmark certificate at truncation level k."""
+    k = as_level(k, "truncation level")
     model = kerr_cavity(KERR_LAM, KERR_DELTA, KERR_CHI, k)
     breakpoints = np.linspace(0.0, t_final, n_intervals + 1)
     f = SimpleFunction(breakpoints, np.full((n_intervals, 1), alpha, dtype=complex))
@@ -505,4 +515,4 @@ def kerr_certificate_table(k_list, pool_map=None, **kwargs) -> list[CertificateR
     (e.g. a thread pool's map); rows are independent.
     """
     mapper = pool_map or (lambda fn, xs: [fn(x) for x in xs])
-    return list(mapper(lambda k: kerr_table_row(int(k), **kwargs), list(k_list)))
+    return list(mapper(lambda k: kerr_table_row(k, **kwargs), list(k_list)))

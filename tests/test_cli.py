@@ -307,8 +307,7 @@ def test_linalg_failure_exits_cleanly(monkeypatch, capsys):
 def test_main_runs_different_commands_back_to_back(tmp_path):
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps({"gamma": 2.0, "qL": 1.0, "qa": 0.5, "qe": 0.5}))
-    bound_argv = ["bound", "--constants", str(cfile), "--partition", "0,1,2",
-                  "--r", "3", "--format", "json"]
+    bound_argv = ["bound", "--constants", str(cfile), "--partition", "0,1,2", "--r", "3"]
     table_argv = ["kerr-table", "--k-list", "3", "--format", "json"]
     outs = []
     for argv in (bound_argv, table_argv, bound_argv, table_argv):

@@ -388,6 +388,33 @@ def test_block_optimizer_descends():
     assert res.state.terms[0][1].n_intervals == 4
 
 
+@pytest.mark.parametrize("penalty", [0.0, COEFF_DAMPING])
+def test_block_optimizer_cost_never_rises_between_blocks(monkeypatch, penalty):
+    # The _BlockOptimizer docstring's claim: each block search starts from the
+    # current values and keeps its best candidate, so the reference cost after
+    # every committed block is no higher than after the one before.
+    model = limit_coefficients(atom_cavity_ae(25.0, 5.0, 0.1))
+    u0 = np.array([0.0, 1.0], dtype=complex)
+    psi = (u0, SimpleFunction.constant([0.1], 1.0))
+    bps = np.linspace(0.0, 1.0, 7)
+    init = ApproxState([(u0, SimpleFunction(bps, np.full((6, 1), 0.1 + 0.0j))),
+                        (0.1 * u0, SimpleFunction(bps, np.full((6, 1), 0.05j)))])
+    costs = []
+    commit = _BlockOptimizer._commit_block
+
+    def recording_commit(opt, lo, hi):
+        commit(opt, lo, hi)
+        state = ApproxState([(opt.us[i], SimpleFunction(bps, opt.vals[i].copy()))
+                             for i in range(opt.L)])
+        costs.append(cost(model, psi, state))
+
+    monkeypatch.setattr(_BlockOptimizer, "_commit_block", recording_commit)
+    optimize(model, psi, init, OptimizeSchedule(block_size=2, max_iter=60, u_penalty=penalty))
+    assert len(costs) == 3
+    for before, after in zip(costs, costs[1:]):
+        assert after <= before * (1.0 + 1e-12)
+
+
 def _two_term_problem():
     """f and the two terms each carry breakpoints the others lack."""
     f = SimpleFunction(np.array([0.0, 0.2, 0.5]), np.array([[0.1], [0.12j]]))

@@ -1,7 +1,7 @@
 """The benchmark's tracer and workloads, and every module's __all__, name
 program objects that exist; the searches reach the tracer's exponential
-layers; scipy's expm has only its known callers; scipy loads only in the
-commands that call it."""
+layers; scipy's expm has only its known callers; the library raises only its
+own errors and has no assert; scipy loads only in the commands that call it."""
 
 import ast
 import importlib
@@ -141,6 +141,45 @@ def test_scipy_expm_only_in_known_modules():
             if named:
                 callers.add(path.name)
     assert callers == {"operators.py", "states.py"}
+
+
+def _enclosing_function(node, parents):
+    while node in parents and not isinstance(node, ast.FunctionDef):
+        node = parents[node]
+    return getattr(node, "name", None)
+
+
+def test_library_raises_only_its_own_errors_and_asserts_nothing():
+    # Every raise names a QsdeCertError subclass (both branches of a
+    # conditional class), so callers can catch the library's errors alone.
+    # The exceptions: a module __getattr__ must raise AttributeError, and
+    # argparse turns ArgumentTypeError into a usage error. asserts vanish
+    # under python -O, so the source has none.
+    allowed = {("states.py", "__getattr__", "AttributeError"),
+               ("cli.py", "_level", "argparse.ArgumentTypeError"),
+               ("cli.py", "_levels", "argparse.ArgumentTypeError")}
+    errors = importlib.import_module("qsdecert.errors")
+    src = Path(qsdecert.__file__).resolve().parent
+    foreign, asserts = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                asserts.append(f"{path.name}:{node.lineno}")
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            branches = [exc.body, exc.orelse] if isinstance(exc, ast.IfExp) else [exc]
+            for branch in branches:
+                name = ast.unparse(branch) if branch is not None else "bare raise"
+                cls = getattr(errors, name, None)
+                if isinstance(cls, type) and issubclass(cls, errors.QsdeCertError):
+                    continue
+                if (path.name, _enclosing_function(node, parents), name) not in allowed:
+                    foreign.append(f"{path.name}:{node.lineno} {name}")
+    assert foreign == [] and asserts == []
 
 
 SCIPY_STEPS = """

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qsdecert import (
     CSV_HEADER,
+    AeConstants,
     ApproxState,
     BoundConstants,
     DegenerateRateError,
@@ -25,6 +26,7 @@ from qsdecert import (
     UnsupportedModelError,
     annihilation,
     atom_cavity,
+    atom_cavity_ae,
     atom_cavity_constants,
     c_sequence,
     coherent_mismatch,
@@ -32,12 +34,15 @@ from qsdecert import (
     exp_norm,
     interval_sum,
     kerr_cavity,
+    kerr_certificate_table,
     kerr_constants,
     kerr_reference_state,
     kerr_search,
     kerr_table_row,
+    m_constants,
     refine_common,
     theorem_bound,
+    truncate,
     z_bound,
 )
 from qsdecert.truncation import MAX_ORDER_SUM
@@ -383,6 +388,49 @@ def _column(c: BoundConstants, n: int) -> BoundConstants:
     return BoundConstants(*(np.full(n, getattr(c, key)) for key in RATE_KEYS), k=c.k)
 
 
+AE_MODEL = atom_cavity_ae(25.0, 5.0, 0.1)
+LEVEL_CALLS = {
+    "kerr_cavity": lambda k: kerr_cavity(25.0, 50.0, -50.0 / 60.0, k),
+    "atom_cavity": lambda k: atom_cavity(4.0, 1.5, k),
+    "truncate": lambda k: truncate(kerr_cavity(25.0, 50.0, -50.0 / 60.0, 10), k),
+    "kerr_table_row": kerr_table_row,
+    "kerr_search": kerr_search,
+    "kerr_constants": lambda k: kerr_constants(k, 0.1, 0.1, 25.0),
+    "atom_cavity_constants": lambda k: atom_cavity_constants(k, 0.1, 0.1, 4.0, 1.5),
+    "c_sequence": c_sequence,
+    "z_bound_r": lambda r: z_bound(KERR19, r, 2, 1.0),
+    "m_constants": lambda k: m_constants(AE_MODEL, [0.1], [0.1], k),
+    "AeConstants": lambda k: AeConstants(M1=1.0, M2=0.5, k=k),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf, 0, "3"])
+@pytest.mark.parametrize("call", sorted(LEVEL_CALLS))
+def test_levels_are_finite_integers_at_least_one(call, value):
+    # One rule, errors.as_level: 2.5 used to give rates for a level that does
+    # not exist, or a bare TypeError, depending on the function.
+    with pytest.raises(InvalidParameterError):
+        LEVEL_CALLS[call](value)
+
+
+@pytest.mark.parametrize("build", [
+    # kerr_certificate_table([2.5]) used to certify and report k = 2.
+    lambda: kerr_certificate_table([2.5]),
+    lambda: BoundConstants(gamma=[0.1], qL=[1.0], qa=[0.0], qe=[1.0]),
+    lambda: AeConstants(M1=np.ones(3), M2=np.ones(2), k=4),
+], ids=["kerr_certificate_table", "BoundConstants_lists", "AeConstants_lengths"])
+def test_malformed_levels_and_rate_columns_raise_typed_errors(build):
+    with pytest.raises(InvalidParameterError):
+        build()
+
+
+def test_integral_levels_of_any_type_give_identical_rows():
+    row = kerr_table_row(19)
+    for k in (19.0, np.int64(19)):
+        other = kerr_table_row(k)
+        assert type(other.k) is int and other.to_json() == row.to_json()
+
+
 def test_interval_sum():
     parts = np.array([0.0, 0.5, 2.0, 5.0])
     consts = kerr_constants(19, np.array([0.1, 0.1, 0.2]), 0.1, 25.0)
@@ -400,6 +448,11 @@ def test_interval_sum():
     # Scalar rates are shared by every interval, like a repeated column.
     assert interval_sum(KERR19, parts, 2, 2) == interval_sum(_column(KERR19, 3), parts, 2, 2)
     assert interval_sum(_column(KERR19, 1), parts, 2, 2) == interval_sum(KERR19, parts, 2, 2)
+    # A partition needs one axis and two breakpoints; these returned 0.0, 0.0
+    # and 14.84.
+    for bad in ([0.0], [], [[0.0, 1.0], [1.0, 2.0]]):
+        with pytest.raises(PartitionError):
+            interval_sum(KERR19, bad, 2, 2)
 
 
 @pytest.mark.parametrize("family", ["kerr", "atom_cavity"])
