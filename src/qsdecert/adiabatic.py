@@ -27,12 +27,15 @@ from .errors import (
     InvalidParameterError,
     StructuralModelError,
     as_level,
+    as_nonnegative,
+    as_times,
+    check_rates,
 )
 from .models import SlhModel
 from .operators import adjoint, annihilation, creation, number, opnorm, tensor
 from .semigroup import SimpleFunction, _generators, generator
 from .states import ApproxState, OptimizeResult, OptimizeSchedule, optimize
-from .truncation import CertificateReport, _check_rates, _durations, certifier
+from .truncation import CertificateReport, certifier
 
 __all__ = [
     "AeModel",
@@ -82,7 +85,7 @@ class AeModel:
                   for i in range(self.m)]
         self.P0 = np.asarray(P0, dtype=complex)
         self.level_of_basis = np.asarray(level_of_basis, dtype=int)
-        self.J_max = int(J_max)
+        self.J_max = as_level(J_max, "guard level J_max")
         self.dim = self.Y.shape[0]
         if represented is None:
             represented = np.ones(self.dim, dtype=bool)
@@ -138,9 +141,9 @@ class AeModel:
 class AeConstants:
     """Reduction-error rates M1, M2 at scaling parameter k.
 
-    M1 and M2 are nonnegative rates under `truncation._check_rates`' rule:
-    scalars, or 1-d columns of one length with one entry per interval
-    (compare such instances field by field, not with ==); k is a level.
+    M1 and M2 are nonnegative rates under `errors.check_rates`: scalars, or
+    1-d columns of one length with one entry per interval (compare such
+    instances field by field, not with ==); k is a level (errors.as_level).
     """
 
     M1: float
@@ -148,7 +151,7 @@ class AeConstants:
     k: float
 
     def __post_init__(self):
-        _check_rates(self, ("M1", "M2"))
+        check_rates(self, ("M1", "M2"))
         as_level(self.k, "scaling parameter")
 
 
@@ -287,9 +290,9 @@ def ae_semigroup_error(const: AeConstants, t):
 
     M1, M2 and t are scalars or per-interval columns that broadcast against
     each other; all-scalar input returns a float. Every t must be finite and
-    nonnegative (`truncation._durations`, z_bound's check).
+    nonnegative (`errors.as_times`, as in z_bound), else InvalidParameterError.
     """
-    t = _durations(t)
+    t = as_times(t)
     z = (2.0 * const.M1 + t * const.M2) / const.k
     return float(z) if z.ndim == 0 else z
 
@@ -343,8 +346,9 @@ def oscillator_elimination(E00, E01, E10, E11, F, G, W, J_max: int = 4) -> AeMod
     All arguments are blocks on the retained factor H'; the oscillator enters
     as Y = E11 (x) a*a, A = E10 (x) a* + E01 (x) a, B = E00 (x) I with
     couplings F_j (x) a*, G_j (x) I and scattering W_ij (x) I, truncated at
-    oscillator level J_max.
+    oscillator level J_max, a level (errors.as_level).
     """
+    J_max = as_level(J_max, "guard level J_max")
     E00 = np.asarray(E00, dtype=complex)
     E01 = np.asarray(E01, dtype=complex)
     E10 = np.asarray(E10, dtype=complex)
@@ -391,8 +395,9 @@ def atom_cavity_ae(gamma: float, g: float, alpha_drive: complex,
     |+, 0> and |-, 0>. The fast-block pseudo-inverse is assembled blockwise
     on H_j = span{|+, j>, |-, j>, |e, j-1>} with d_j = j(j-1) gamma^2/4 + j g^2.
     """
-    if gamma <= 0 or g <= 0:
-        raise InvalidParameterError("need gamma > 0 and g > 0")
+    as_nonnegative(gamma, "decay rate gamma", positive=True)
+    as_nonnegative(g, "coupling g", positive=True)
+    J_max = as_level(J_max, "guard level J_max")
     if J_max < 2:
         raise InvalidParameterError("need J_max >= 2 for the block structure")
     df = J_max + 1
@@ -492,9 +497,12 @@ def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
     reduced model; pool_map, an order-preserving map, runs only each k's
     norms and assembly. Both search stages run the
     sequential block optimizer, which is deterministic and does not use
-    `seed`: any seed gives the same state. Returns (reports, optimization
-    result or None if a state was supplied).
+    `seed`: any seed gives the same state. n_intervals and blocks are counts
+    (errors.as_level). Returns (reports, optimization result or None if a
+    state was supplied).
     """
+    n_intervals = as_level(n_intervals, "number of intervals")
+    blocks = as_level(blocks, "number of blocks")
     model = atom_cavity_ae(gamma, g, alpha)
     reduced = limit_coefficients(model)
     u0 = np.array([0.0, 1.0], dtype=complex)  # |-, 0> in H0 coordinates

@@ -10,7 +10,10 @@ optimize     run the approximant search and emit the minimizer as JSON
 verify       run the oracle cross-check suite
 
 Unset flags take the library's values for the paper's two scenarios; --k and
---k-list are exclusive, and levels must be integers >= 1.
+--k-list are exclusive. Levels (--k, --k-list), orders (--r, --s) and counts
+(--intervals, --blocks) must be integers >= 1, else the command exits 2;
+every other input is checked by the library (qsdecert.errors holds the
+rules), and a rejected one exits 1 with an "error:" line.
 
 All outputs are deterministic for a fixed --seed. bound, optimize and verify
 print JSON only; the tables default to CSV, whose rows follow the stable
@@ -96,9 +99,9 @@ def _render_reports(reports, fmt: str, extra: dict | None = None) -> str:
 
 
 def _level(text: str) -> int:
-    """argparse type of a truncation or scaling level: an integer >= 1."""
+    """argparse type of a level, order or count: an integer >= 1."""
     try:
-        return as_level(int(text), "levels")
+        return as_level(int(text), "value")
     except InvalidParameterError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -288,9 +291,9 @@ def _add_common(p, *, table=False, seed=True, seed_help=None, orders=True):
                             help="comma-separated levels (default: the paper's)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     if orders:
-        p.add_argument("--r", type=int, default=2)
-        p.add_argument("--s", type=int, default=2)
-    p.add_argument("--intervals", type=int)
+        p.add_argument("--r", type=_level, default=2)
+        p.add_argument("--s", type=_level, default=2)
+    p.add_argument("--intervals", type=_level)
     p.add_argument("--alpha", type=complex)
     if seed:
         p.add_argument("--seed", type=int, help=seed_help)
@@ -320,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     # No --seed: the block search is deterministic.
     _add_common(p, table=True, seed=False, orders=False)
     p.add_argument("--t-final", type=float)
-    p.add_argument("--blocks", type=int,
+    p.add_argument("--blocks", type=_level,
                    help="number of sequential optimization blocks")
     p.set_defaults(func=cmd_ae_table)
 
@@ -341,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                 seed_help="search seed, --model kerr only (default 0)")
     p.add_argument("--t-final", type=float)
     p.add_argument("--model", choices=("kerr", "ae"), default="kerr")
-    p.add_argument("--blocks", type=int, help="--model ae only (default 100)")
+    p.add_argument("--blocks", type=_level, help="--model ae only (default 100)")
     p.set_defaults(func=cmd_optimize)
 
     p = add_parser("verify", help="run the oracle cross-check suite")

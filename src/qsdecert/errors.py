@@ -1,10 +1,15 @@
-"""Exception hierarchy for qsdecert.
+"""Exception hierarchy for qsdecert, and the input rules of every module.
 
 Every failure mode raised by the library derives from :class:`QsdeCertError`
 so callers can catch library errors without masking programming errors.
+Whether an input is valid is decided here alone: a count (level, order,
+number of intervals) by as_level, a time by as_times or as_nonnegative, and
+a rate or coupling by as_nonnegative or, for a record's fields, check_rates.
 """
 
 import math
+
+import numpy as np
 
 
 class QsdeCertError(Exception):
@@ -43,8 +48,9 @@ class PartitionError(QsdeCertError):
     """Piecewise-constant functions disagree on breakpoints or final time."""
 
 
-class DegenerateRateError(QsdeCertError):
-    """The decay rate entering a bound was zero or negative (division by it)."""
+class DegenerateRateError(InvalidParameterError):
+    """A rate that must be positive (a decay rate a bound divides by, or a
+    model's coupling) was zero or negative."""
 
 
 class NormalizationError(QsdeCertError):
@@ -75,12 +81,75 @@ class ReferenceUnconvergedWarning(UserWarning):
     """A reference-level computation changed materially when refined."""
 
 
+_REAL = (int, float, np.integer, np.floating)
+
+
 def as_level(value, what: str) -> int:
-    """A level, order or scaling parameter `what` as an int: value must be a
-    finite integer >= 1 such as 19, np.int64(19) or 19.0."""
+    """A count `what` (a level, order, scaling parameter, or number of
+    intervals or blocks) as an int: value must be a finite integer >= 1 such
+    as 19, np.int64(19) or 19.0."""
     try:
         if value >= 1 and math.isfinite(value) and value == int(value):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise InvalidParameterError(f"{what} must be a finite integer >= 1, got {value!r}")
+
+
+def as_nonnegative(value, what: str, positive: bool = False) -> float:
+    """One rate, coupling or time `what` as a float: value must be a real
+    scalar (a Python or numpy int or float) that is finite and >= 0, or > 0
+    if `positive` (else DegenerateRateError). The check skips numpy's array
+    machinery (0.2 us against 1.5 us for a numpy check of one value):
+    rate-bounds builds thousands of rate records per round."""
+    if not isinstance(value, _REAL):
+        raise InvalidParameterError(f"{what} must be a real number, got {value!r}")
+    try:
+        ok = (value > 0 if positive else value >= 0) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise (DegenerateRateError if positive else InvalidParameterError)(
+            f"{what} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return float(value)
+
+
+def as_times(t) -> np.ndarray:
+    """t as a float array (0-d for a scalar) whose every entry is a time
+    under as_nonnegative, else InvalidParameterError. Strings, complex
+    numbers and ragged sequences are not times."""
+    try:
+        real = np.asarray(t).dtype.kind in "biuf"
+    except ValueError:  # a ragged sequence
+        real = False
+    if not real:
+        raise InvalidParameterError(f"time must be a real number or array, got {t!r}")
+    t = np.asarray(t, dtype=float)
+    bad = t[~(np.isfinite(t) & (t >= 0))]
+    if bad.size:
+        as_nonnegative(bad[0].item(), "time")
+    return t
+
+
+def check_rates(record, names, positive=None) -> None:
+    """The rate rule of a record's fields `names` (BoundConstants, AeConstants):
+    each is a real scalar or a 0-d or 1-d real ndarray whose entries obey
+    as_nonnegative, > 0 for the field named `positive`; the 1-d ones share
+    one length. Lists, other shapes and non-numeric dtypes raise
+    InvalidParameterError."""
+    lengths = set()
+    for name in names:
+        v = getattr(record, name)
+        strict = name == positive
+        if not isinstance(v, np.ndarray):
+            as_nonnegative(v, name, strict)
+            continue
+        if v.ndim > 1 or v.dtype.kind not in "biuf":
+            raise InvalidParameterError(f"{name} must be numeric, a real scalar or "
+                                        f"1-d array, got {v.ndim}-d {v.dtype} array")
+        lengths.update(v.shape)
+        bad = v[~(np.isfinite(v) & ((v > 0) if strict else (v >= 0)))]
+        if bad.size:
+            as_nonnegative(bad[0].item(), name, strict)
+    if len(lengths) > 1:
+        raise InvalidParameterError(f"rate columns differ in length: {sorted(lengths)}")

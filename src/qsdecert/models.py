@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedModelError,
     as_level,
+    as_nonnegative,
 )
 from .operators import adjoint, annihilation, creation, opnorm, tensor
 
@@ -143,8 +144,7 @@ def kerr_cavity(lam: float, delta: float, chi: float, k: int) -> SlhModel:
     H|n> = (delta*n + chi*n*(n-1)) |n> on dimension k+1.
     """
     k = as_level(k, "truncation level")
-    if lam <= 0:
-        raise InvalidParameterError(f"field coupling rate must be positive, got {lam}")
+    as_nonnegative(lam, "field coupling rate", positive=True)
     dim = k + 1
     a = annihilation(dim)
     n = np.arange(dim, dtype=float)
@@ -169,8 +169,8 @@ def atom_cavity(lam: float, chi: float, k: int) -> SlhModel:
     and L = I (x) sqrt(lam) a.
     """
     k = as_level(k, "truncation level")
-    if lam <= 0 or chi <= 0:
-        raise InvalidParameterError("rates must be positive")
+    as_nonnegative(lam, "field coupling rate", positive=True)
+    as_nonnegative(chi, "atom-cavity coupling chi", positive=True)
     df = k + 1
     a = annihilation(df)
     sp = np.zeros((3, 3), dtype=complex)

@@ -23,12 +23,15 @@ maximal run of them, over the run's length read off the breakpoints.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
     InvalidAmplitudeError,
     ModelIntegrityError,
     PartitionError,
+    as_nonnegative,
 )
 from .models import SlhModel
 from .operators import adjoint, matexp, opnorm
@@ -51,7 +54,7 @@ BREAKPOINT_MERGE_TOL = 1e-12
 class SimpleFunction:
     """Piecewise-constant amplitude t -> C^m on [0, t_final).
 
-    breakpoints: strictly increasing, breakpoints[0] == 0.
+    breakpoints: finite, strictly increasing, breakpoints[0] == 0.
     values: shape (n_intervals, m), value on [breakpoints[i], breakpoints[i+1]).
     """
 
@@ -62,8 +65,8 @@ class SimpleFunction:
             raise InvalidAmplitudeError("need at least two breakpoints")
         if bp[0] != 0.0:
             raise InvalidAmplitudeError("first breakpoint must be 0")
-        if not np.all(np.diff(bp) > 0):
-            raise InvalidAmplitudeError("breakpoints must be strictly increasing")
+        if not (np.all(np.diff(bp) > 0) and math.isfinite(bp[-1])):
+            raise InvalidAmplitudeError("breakpoints must be finite and strictly increasing")
         if vals.shape[0] != bp.size - 1:
             raise InvalidAmplitudeError(
                 f"{bp.size - 1} intervals but {vals.shape[0]} value rows"
@@ -230,9 +233,9 @@ def _generators(model: SlhModel, alphas, betas) -> np.ndarray:
 
 
 def propagate(G: np.ndarray, t: float) -> np.ndarray:
-    """exp(t G); checked to be a contraction up to roundoff."""
-    if t < 0:
-        raise InvalidAmplitudeError(f"time must be nonnegative, got {t}")
+    """exp(t G) for one finite time t >= 0 (errors.as_nonnegative, else
+    InvalidParameterError); checked to be a contraction up to roundoff."""
+    t = as_nonnegative(t, "time")
     T = matexp(G, t)
     nrm = opnorm(T)
     if nrm > 1.0 + CONTRACTION_TOL:

@@ -18,13 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateRateError,
     InvalidParameterError,
     NormalizationError,
     NumericError,
     PartitionError,
     UnsupportedModelError,
     as_level,
+    as_nonnegative,
+    as_times,
+    check_rates,
 )
 from .models import SlhModel, kerr_cavity
 from .operators import basis_state
@@ -91,7 +93,7 @@ class BoundConstants:
 
     gamma > 0, qL, qa, qe >= 0 are scalars, or 1-d columns of one length with
     one entry per interval (compare such instances field by field, not with
-    ==); `_check_rates` holds the rule.
+    ==), under `errors.check_rates`; k, if given, is a level (errors.as_level).
     """
 
     gamma: float
@@ -101,44 +103,9 @@ class BoundConstants:
     k: int | None = None
 
     def __post_init__(self):
-        _check_rates(self, ("gamma", "qL", "qa", "qe"), positive="gamma")
-
-
-def _check_rates(record, names, positive=None) -> None:
-    """The rate rule of BoundConstants and AeConstants: each named field is a
-    real scalar or 0-d or 1-d real ndarray, 1-d ones share one length, entries
-    are finite and >= 0, or > 0 for `positive` (else DegenerateRateError);
-    lists and other shapes raise InvalidParameterError. Scalars skip numpy
-    (0.4 us a field against 5 us): rate-bounds builds thousands per round."""
-    lengths = set()
-    for name in names:
-        v = getattr(record, name)
-        strict = name == positive
-        if isinstance(v, np.ndarray) and v.ndim <= 1 and v.dtype.kind in "biuf":
-            lengths.update(v.shape)
-            ok = (np.isfinite(v) & ((v > 0) if strict else (v >= 0))).all()
-        elif isinstance(v, (int, float, np.integer, np.floating)):
-            ok = (v > 0 if strict else v >= 0) and math.isfinite(v)
-        else:
-            got = (f"{v.ndim}-d {v.dtype} array" if isinstance(v, np.ndarray)
-                   else type(v).__name__)
-            raise InvalidParameterError(f"{name} must be numeric, a real scalar or "
-                                        f"1-d array, got {got}")
-        if not ok:
-            raise (DegenerateRateError if strict else InvalidParameterError)(
-                f"{name} must be finite and {'>' if strict else '>='} 0, got {v}")
-    if len(lengths) > 1:
-        raise InvalidParameterError(f"rate columns differ in length: {sorted(lengths)}")
-
-
-def _durations(t) -> np.ndarray:
-    """t as a float array; InvalidParameterError unless every entry is a
-    finite, nonnegative time (the rule of z_bound and ae_semigroup_error)."""
-    t = np.asarray(t, dtype=float)
-    bad = t[~(np.isfinite(t) & (t >= 0))]
-    if bad.size:
-        raise InvalidParameterError(f"time must be finite and nonnegative, got {bad[0]}")
-    return t
+        check_rates(self, ("gamma", "qL", "qa", "qe"), positive="gamma")
+        if self.k is not None:
+            as_level(self.k, "truncation level")
 
 
 def z_bound(c: BoundConstants, r: int, s: int, t):
@@ -157,8 +124,8 @@ def z_bound(c: BoundConstants, r: int, s: int, t):
 
     Orders: r, s are levels (errors.as_level) and r + s <= MAX_ORDER_SUM
     (1025), so that every coefficient 2^i c_i and 2^{i+j} / (2^i - 2^j) is a
-    finite double; other orders, and times that fail `_durations`, raise
-    InvalidParameterError. The kernel forms those coefficients
+    finite double; other orders, and times that fail `errors.as_times`
+    (finite and nonnegative), raise InvalidParameterError. The kernel forms those coefficients
     over gamma as 1 / a_i and 1 / (a_j - a_i), with a_i = 2^{-i} gamma, so
     admitted orders give a finite z for small gamma too (gamma = 0.1 at
     r = 1024, say). Rates so extreme that a piece overflows, or that a_i and
@@ -181,7 +148,7 @@ def z_bound(c: BoundConstants, r: int, s: int, t):
             f"orders r + s must be <= {MAX_ORDER_SUM} so that the coefficients "
             f"are finite, got r={r}, s={s}"
         )
-    t = _durations(t)
+    t = as_times(t)
     g = np.asarray(c.gamma, dtype=float)
     qL = np.asarray(c.qL, dtype=float)
     n = max(r, s)
@@ -232,8 +199,7 @@ def kerr_constants(k: int, alpha: complex, beta: complex, lam: float) -> BoundCo
     per-interval rate columns (as do atom_cavity_constants and constants_for).
     """
     k = as_level(k, "truncation level")
-    if lam <= 0:
-        raise InvalidParameterError(f"coupling must be positive, got {lam}")
+    as_nonnegative(lam, "coupling lam", positive=True)
     return BoundConstants(
         gamma=0.5 * (lam * k + abs(alpha - beta) ** 2),
         qL=math.sqrt(lam * (k + 1)) * abs(beta),
@@ -247,8 +213,8 @@ def atom_cavity_constants(k: int, alpha: complex, beta: complex,
                           lam: float, chi: float) -> BoundConstants:
     """Rates for the atom-cavity model truncated at field level k."""
     k = as_level(k, "truncation level")
-    if lam <= 0 or chi < 0:
-        raise InvalidParameterError("need lam > 0 and chi >= 0")
+    as_nonnegative(lam, "coupling lam", positive=True)
+    as_nonnegative(chi, "coupling chi")
     rl = math.sqrt(lam)
     return BoundConstants(
         gamma=0.5 * (lam * k + abs(alpha - beta) ** 2),
@@ -486,6 +452,7 @@ def kerr_table_row(k: int, *, alpha: complex = KERR_ALPHA,
                    state: ApproxState | None = None) -> CertificateReport:
     """One Kerr benchmark certificate at truncation level k."""
     k = as_level(k, "truncation level")
+    n_intervals = as_level(n_intervals, "number of intervals")
     model = kerr_cavity(KERR_LAM, KERR_DELTA, KERR_CHI, k)
     breakpoints = np.linspace(0.0, t_final, n_intervals + 1)
     f = SimpleFunction(breakpoints, np.full((n_intervals, 1), alpha, dtype=complex))

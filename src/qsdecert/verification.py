@@ -28,6 +28,7 @@ from .errors import (
     InvalidParameterError,
     NumericError,
     ReferenceUnconvergedWarning,
+    as_nonnegative,
 )
 from .models import ModelFamily, SlhModel, _fock_embedding, kerr_cavity, kerr_family
 from .operators import matexp, opnorm
@@ -67,7 +68,8 @@ def ode_propagate(G, u, t: float, tol: float = ODE_DEFAULT_TOL) -> np.ndarray:
 
     Adaptive embedded 5(4) pairs keep the local error estimate per step at
     or below tol. Raises NumericError if the controller underflows the step
-    size, InvalidParameterError for tol outside [1e-12, 1e-6] or t < 0.
+    size, InvalidParameterError for tol outside [1e-12, 1e-6] or a t that is
+    not one finite, nonnegative time (errors.as_nonnegative).
     """
     G = np.asarray(G, dtype=complex)
     u = np.asarray(u, dtype=complex)
@@ -75,8 +77,7 @@ def ode_propagate(G, u, t: float, tol: float = ODE_DEFAULT_TOL) -> np.ndarray:
         raise InvalidDimensionError("generator/state dimension mismatch")
     if not 1e-12 <= tol <= 1e-6:
         raise InvalidParameterError(f"tolerance must lie in [1e-12, 1e-6], got {tol}")
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
+    t = as_nonnegative(t, "time")
     if t == 0:
         return u.copy()
 

@@ -196,16 +196,24 @@ def test_bound_bad_partition_exits_cleanly(tmp_path, capsys):
 
 
 def test_bound_malformed_input_files_exit_cleanly(tmp_path, capsys):
-    # Wrong key name in a constants file, a non-JSON file, and a missing
-    # path must all land on the single-line "error:" path, never a traceback.
+    # Wrong key name in a constants file, a non-JSON file, a missing path and
+    # a malformed level must all land on the single-line "error:" path, never a traceback.
     wrong_keys = tmp_path / "wrong.json"
     wrong_keys.write_text(json.dumps({"gamma": 1.0, "q_L": 1.0, "qa": 1.0, "qe": 1.0}))
     not_json = tmp_path / "garbage.json"
     not_json.write_text("not json at all")
+    # A first entry whose level k is not an integer >= 1 used to be certified
+    # and printed as given.
+    bad_levels = []
+    for i, k in enumerate(("abc", 0, 2.5)):
+        bad_levels.append(tmp_path / f"level{i}.json")
+        bad_levels[-1].write_text(json.dumps(
+            [{"gamma": 1.0, "qL": 1.0, "qa": 1.0, "qe": 1.0, "k": k}]))
     for argv in (
         ["bound", "--constants", str(wrong_keys), "--partition", "0,1"],
         ["bound", "--constants", str(not_json), "--partition", "0,1"],
         ["bound", "--model", str(tmp_path / "missing.json"), "--partition", "0,1"],
+        *(["bound", "--constants", str(path), "--partition", "0,1"] for path in bad_levels),
     ):
         rc = main(argv)
         assert rc == 1
@@ -395,16 +403,25 @@ def test_flags_that_would_be_ignored_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("level", ["0", "-3"])
+@pytest.mark.parametrize("level", ["0", "-3", "2.5"])
 @pytest.mark.parametrize("command", [
-    ["optimize", "--model", "kerr"],
-    ["kerr-table"],
-    ["ae-table"],
-    ["bound", "--model", "kerr"],
+    ["optimize", "--model", "kerr", "--k"],
+    ["kerr-table", "--k"],
+    ["ae-table", "--k"],
+    ["bound", "--model", "kerr", "--k"],
+    # Orders and counts take the same type: --blocks 0 used to end in a
+    # ZeroDivisionError, --intervals -2 in numpy's ValueError.
+    ["bound", "--model", "kerr", "--k", "3", "--r"],
+    ["bound", "--model", "kerr", "--k", "3", "--s"],
+    ["bound", "--model", "kerr", "--k", "3", "--intervals"],
+    ["kerr-table", "--intervals"],
+    ["ae-table", "--intervals"],
+    ["ae-table", "--blocks"],
+    ["optimize", "--model", "ae", "--blocks"],
 ])
 def test_levels_below_one_are_usage_errors(command, level):
     with pytest.raises(SystemExit) as exc:
-        main(command + ["--k", level])
+        main(command + [level])
     assert exc.value.code == 2
 
 

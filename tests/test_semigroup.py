@@ -12,6 +12,7 @@ from qsdecert.verification import _random_dissipative_model
 
 from qsdecert import (
     InvalidAmplitudeError,
+    InvalidParameterError,
     ModelIntegrityError,
     PartitionError,
     SimpleFunction,
@@ -42,6 +43,8 @@ def test_simple_function_validation():
         SimpleFunction(np.array([0.0, 1.0]), np.array([[np.inf]]))
     with pytest.raises(InvalidAmplitudeError):
         SimpleFunction(np.array([0.0]), np.array([[0.1]]).reshape(1, 1)[:0])
+    with pytest.raises(InvalidAmplitudeError):
+        SimpleFunction.zero(1, np.inf)  # its norm_sq() was NaN
 
 
 def test_simple_function_evaluation():
@@ -189,7 +192,7 @@ def test_propagate_contraction():
     g = generator(MODEL, [0.1], [0.3j])
     u = propagate(g, 0.8)
     assert opnorm(u) <= 1.0 + 1e-9
-    with pytest.raises(InvalidAmplitudeError):
+    with pytest.raises(InvalidParameterError):
         propagate(g, -0.1)
     assert _abscissa(g) <= 1e-12
 

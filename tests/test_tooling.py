@@ -1,7 +1,9 @@
 """The benchmark's tracer and workloads, and every module's __all__, name
 program objects that exist; the searches reach the tracer's exponential
 layers; scipy's expm has only its known callers; the library raises only its
-own errors and has no assert; scipy loads only in the commands that call it."""
+own errors and has no assert; no library module imports another's private
+names beyond two known helpers; scipy loads only in the commands that call
+it."""
 
 import ast
 import importlib
@@ -180,6 +182,29 @@ def test_library_raises_only_its_own_errors_and_asserts_nothing():
                 if (path.name, _enclosing_function(node, parents), name) not in allowed:
                     foreign.append(f"{path.name}:{node.lineno} {name}")
     assert foreign == [] and asserts == []
+
+
+def test_no_module_imports_private_names_of_another():
+    # A rule that two modules share is a public function (the input rules
+    # live in errors), not a private helper one module borrows from another.
+    # The two exceptions are helpers of one computation: adiabatic stacks
+    # generators through semigroup's, and verification embeds truncated
+    # spaces through models'.
+    allowed = {("semigroup", "_generators"), ("models", "_fock_embedding")}
+    src = Path(qsdecert.__file__).resolve().parent
+    borrowed = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:
+                if not module.startswith("qsdecert."):
+                    continue
+                module = module.removeprefix("qsdecert.")
+            borrowed += [f"{path.name}: {module}.{alias.name}" for alias in node.names
+                         if alias.name.startswith("_") and (module, alias.name) not in allowed]
+    assert borrowed == []
 
 
 SCIPY_STEPS = """

@@ -24,6 +24,8 @@ from qsdecert import (
     SimpleFunction,
     SlhModel,
     UnsupportedModelError,
+    ae_certificate_table,
+    ae_semigroup_error,
     annihilation,
     atom_cavity,
     atom_cavity_ae,
@@ -32,6 +34,7 @@ from qsdecert import (
     coherent_mismatch,
     constants_for,
     exp_norm,
+    generator,
     interval_sum,
     kerr_cavity,
     kerr_certificate_table,
@@ -40,6 +43,9 @@ from qsdecert import (
     kerr_search,
     kerr_table_row,
     m_constants,
+    ode_propagate,
+    oscillator_elimination,
+    propagate,
     refine_common,
     theorem_bound,
     truncate,
@@ -422,6 +428,61 @@ def test_levels_are_finite_integers_at_least_one(call, value):
 def test_malformed_levels_and_rate_columns_raise_typed_errors(build):
     with pytest.raises(InvalidParameterError):
         build()
+
+
+Z1 = np.zeros((1, 1))
+# One case per input that used to escape the library's rules in errors: each
+# ended in a foreign exception (ZeroDivisionError, numpy's ValueError,
+# LinAlgError, TypeError), the wrong QsdeCertError, or no error at all (a
+# complex time lost its imaginary part with a ComplexWarning).
+COUNT_CASES = {
+    "ae_blocks_0": lambda: ae_certificate_table((), n_intervals=4, blocks=0),
+    "ae_blocks_-1": lambda: ae_certificate_table((), n_intervals=4, blocks=-1),
+    "ae_blocks_2.5": lambda: ae_certificate_table((), n_intervals=4, blocks=2.5),
+    "kerr_intervals_-2": lambda: kerr_table_row(5, n_intervals=-2),
+    "kerr_intervals_2.5": lambda: kerr_table_row(5, n_intervals=2.5),
+    "oscillator_J_max_0": lambda: oscillator_elimination(
+        Z1, Z1, Z1, [[-12.5]], [np.array([[5.0]])], [Z1], [[np.eye(1)]], J_max=0),
+    "atom_cavity_ae_J_max_2.5": lambda: atom_cavity_ae(25.0, 5.0, 0.1, J_max=2.5),
+    "BoundConstants_k_abc": lambda: BoundConstants(1.0, 1.0, 1.0, 1.0, k="abc"),
+}
+G_KERR = generator(kerr_cavity(25.0, 50.0, -1.0, 3), [0.1], [0.1])
+U_KERR = np.eye(4, dtype=complex)[0]
+TIME_CASES = {
+    "ode_propagate_nan": lambda: ode_propagate(G_KERR, U_KERR, math.nan),
+    "ode_propagate_abc": lambda: ode_propagate(G_KERR, U_KERR, "abc"),
+    "propagate_abc": lambda: propagate(G_KERR, "abc"),
+    "propagate_-1": lambda: propagate(G_KERR, -1.0),
+    "propagate_nan": lambda: propagate(G_KERR, math.nan),
+    "z_bound_abc": lambda: z_bound(KERR19, 2, 2, "abc"),
+    "z_bound_complex": lambda: z_bound(KERR19, 2, 2, np.array([1.0 + 1.0j])),
+    "ae_semigroup_error_abc": lambda: ae_semigroup_error(AeConstants(1.0, 1.0, 4), "abc"),
+}
+RATE_CASES = {
+    "atom_cavity_ae_gamma_nan": lambda: atom_cavity_ae(math.nan, 5.0, 0.1),
+    "atom_cavity_ae_g_abc": lambda: atom_cavity_ae(25.0, "abc", 0.1),
+    "kerr_cavity_lam_abc": lambda: kerr_cavity("abc", 50.0, -1.0, 3),
+    "kerr_constants_lam_abc": lambda: kerr_constants(3, 0.1, 0.1, "abc"),
+    "atom_cavity_constants_chi_abc": lambda: atom_cavity_constants(3, 0.1, 0.1, 4.0, "abc"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_counts_are_finite_integers_at_least_one(case):
+    with pytest.raises(InvalidParameterError):
+        COUNT_CASES[case]()
+
+
+@pytest.mark.parametrize("case", sorted(TIME_CASES))
+def test_times_are_finite_and_nonnegative(case):
+    with pytest.raises(InvalidParameterError):
+        TIME_CASES[case]()
+
+
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_rates_are_finite_real_numbers(case):
+    with pytest.raises(InvalidParameterError):
+        RATE_CASES[case]()
 
 
 def test_integral_levels_of_any_type_give_identical_rows():
