@@ -29,6 +29,7 @@ from .errors import (
     as_level,
     as_nonnegative,
     as_times,
+    check_amplitude,
     check_rates,
 )
 from .models import SlhModel
@@ -397,6 +398,7 @@ def atom_cavity_ae(gamma: float, g: float, alpha_drive: complex,
     """
     as_nonnegative(gamma, "decay rate gamma", positive=True)
     as_nonnegative(g, "coupling g", positive=True)
+    check_amplitude(alpha_drive, "drive amplitude alpha_drive")
     J_max = as_level(J_max, "guard level J_max")
     if J_max < 2:
         raise InvalidParameterError("need J_max >= 2 for the block structure")

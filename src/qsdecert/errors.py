@@ -3,8 +3,9 @@
 Every failure mode raised by the library derives from :class:`QsdeCertError`
 so callers can catch library errors without masking programming errors.
 Whether an input is valid is decided here alone: a count (level, order,
-number of intervals) by as_level, a time by as_times or as_nonnegative, and
-a rate or coupling by as_nonnegative or, for a record's fields, check_rates.
+number of intervals) by as_level, a time by as_times or as_nonnegative, a
+rate or coupling by as_nonnegative or, for a record's fields, check_rates,
+and a scalar drive amplitude by check_amplitude.
 """
 
 import math
@@ -153,3 +154,16 @@ def check_rates(record, names, positive=None) -> None:
             as_nonnegative(bad[0].item(), name, strict)
     if len(lengths) > 1:
         raise InvalidParameterError(f"rate columns differ in length: {sorted(lengths)}")
+
+
+def check_amplitude(value, what: str) -> None:
+    """One drive amplitude `what`: a real or complex scalar (Python or numpy)
+    whose real and imaginary parts are finite, else InvalidAmplitudeError."""
+    try:
+        ok = (isinstance(value, _REAL + (complex, np.complexfloating))
+              and math.isfinite(value.real) and math.isfinite(value.imag))
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise InvalidAmplitudeError(f"{what} must be a finite real or complex number, "
+                                    f"got {value!r}")

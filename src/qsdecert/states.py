@@ -9,7 +9,9 @@ so no Fock expansion of the field is ever needed here.
 The search treats only the amplitude values as free simplex parameters: for
 fixed amplitudes the cost is a nonnegative quadratic in the system-vector
 coefficients, so the optimal u_j are recovered exactly from the terms' Gram
-system at every evaluation.
+system at every evaluation. The simplex is this module's `_nelder_mead`,
+scipy's Nelder-Mead arithmetic without its front end, so no search loads
+scipy.optimize.
 
 Both searches (joint simplex, block sweep) freeze the drive's dt-scaled
 `semigroup.affine_basis` on a fixed partition, and `_chain_row`, the one
@@ -26,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidApproximantError, NumericError, PartitionError
+from .errors import (
+    InvalidApproximantError,
+    NumericError,
+    PartitionError,
+    as_level,
+    as_nonnegative,
+)
 from .models import SlhModel, decode_vector, encode_vector
 from .semigroup import (
     BREAKPOINT_MERGE_TOL,
@@ -211,7 +219,9 @@ class OptimizeSchedule:
     whose rate sums are weighted by sum_j ||u_j||. The reported cost is
     always the true undamped residual. seed draws the joint search's restart
     points; the tolerances and restarts are the constants FATOL, XATOL,
-    RESTARTS and RESTART_SCALE.
+    RESTARTS and RESTART_SCALE. max_iter, u_support and block_size, when
+    set, are counts (errors.as_level) and u_penalty a rate
+    (errors.as_nonnegative); anything else raises InvalidParameterError.
     """
 
     seed: int = 0
@@ -219,6 +229,12 @@ class OptimizeSchedule:
     u_support: int | None = None
     block_size: int | None = None
     u_penalty: float = 0.0
+
+    def __post_init__(self):
+        for name in ("max_iter", "u_support", "block_size"):
+            if getattr(self, name) is not None:
+                setattr(self, name, as_level(getattr(self, name), name))
+        self.u_penalty = as_nonnegative(self.u_penalty, "u_penalty")
 
 
 @dataclass
@@ -436,27 +452,92 @@ def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedu
 
 
 def _nelder_mead(objective, x0, maxiter: int, adaptive: bool):
-    """scipy's Nelder-Mead from x0 at the tolerances FATOL and XATOL."""
-    import scipy.optimize
+    """Nelder-Mead simplex search for a minimum of objective from x0, at the
+    tolerances FATOL and XATOL and with at most maxiter iterations; adaptive
+    takes the dimension-dependent coefficients of Gao and Han (2012). Returns
+    (x, fun, nfev).
 
-    return scipy.optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": maxiter,
-            "fatol": FATOL,
-            "xatol": XATOL,
-            "adaptive": adaptive,
-        },
-    )
+    This is the arithmetic of scipy 1.17's _minimize_neldermead, step for
+    step and in its order, for the one configuration the searches use: no
+    bounds, callback, maxfev or initial simplex. It drops scipy's minimize
+    front end, its call-counting wrapper and the result record it builds per
+    iteration, and the import of scipy.optimize, which adds about 19 MB to a
+    process. The ordering keeps scipy's np.argsort and np.take, twice after
+    the first simplex as scipy does: argsort is not stable on ties.
+    test_nelder_mead_matches_scipy pins x, fun and nfev bit for bit against
+    scipy.optimize.minimize. objective must not modify its argument.
+    """
+    N = len(x0)
+    if adaptive:
+        dim = float(N)
+        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    else:
+        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.empty((N + 1, N), dtype=float)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, dtype=float)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([objective(x) for x in sim], dtype=float)
+    nfev = N + 1
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = objective(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = objective(xe)
+            nfev += 1
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = objective(xc)
+                shrink = not fxc <= fxr
+            else:
+                # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = objective(xc)
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = objective(sim[j])
+                nfev += N
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev
 
 
 def __getattr__(name):
-    # `states.scipy` is the scipy package with its optimizer loaded.
-    # perfbench/tracing.py wraps the searches' Nelder-Mead by replacing
-    # states.scipy.optimize.minimize, which _nelder_mead looks up on every
-    # call. Resolving the name on first use keeps scipy out of the import.
+    # This hook exists only for perfbench/tracing.py, which wraps
+    # states.scipy.optimize.minimize as its states.minimize layer. The
+    # searches call _nelder_mead and never reach that function, so the
+    # layer reads 0 calls until the benchmark wraps _nelder_mead itself and
+    # this hook goes (ROADMAP direction 4). Resolving the name on first use
+    # keeps scipy out of the import.
     if name == "scipy":
         import scipy.optimize
 
@@ -481,10 +562,10 @@ def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
     maxiter = schedule.max_iter or 400 * x0.size
     for trial in range(RESTARTS):
         start = x0 if trial == 0 else best_x + RESTART_SCALE * rng.standard_normal(x0.size)
-        res = _nelder_mead(objective, start, maxiter, x0.size > 12)
-        nfev += res.nfev
-        if res.fun < best_val:
-            best_val, best_x = res.fun, res.x
+        x, fun, n = _nelder_mead(objective, start, maxiter, x0.size > 12)
+        nfev += n
+        if fun < best_val:
+            best_val, best_x = fun, x
     vals = _unpack_values(best_x, shapes)
     _, us, bad = evaluate(vals)
     terms = [
@@ -625,9 +706,9 @@ class _BlockOptimizer:
             vj = self.vals[j, lo:hi].ravel()
             x0 = np.concatenate([vj.real, vj.imag])
             with np.errstate(over="ignore"):
-                res = _nelder_mead(lambda x: evaluate((x[:k] + 1j * x[k:]).reshape(shape)),
-                                   x0, self.schedule.max_iter or 120 * x0.size, True)
-            self.vals[j, lo:hi] = (res.x[:k] + 1j * res.x[k:]).reshape(shape)
+                x, _, _ = _nelder_mead(lambda x: evaluate((x[:k] + 1j * x[k:]).reshape(shape)),
+                                       x0, self.schedule.max_iter or 120 * x0.size, True)
+            self.vals[j, lo:hi] = (x[:k] + 1j * x[k:]).reshape(shape)
             qs[j] = self._block_q(lo, hi, j)
         self._resolve(lo, hi, qs)
 

@@ -1,5 +1,6 @@
 """Adiabatic-elimination models: structure checks, limits, and certificates."""
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +12,7 @@ from qsdecert import (
     AeModel,
     ApproxState,
     InsufficientTruncationError,
+    InvalidAmplitudeError,
     InvalidDimensionError,
     InvalidModelError,
     InvalidParameterError,
@@ -112,6 +114,17 @@ def test_atom_cavity_ae_pseudoinverse_structure():
         atom_cavity_ae(GAMMA, 0.0, DRIVE)
     with pytest.raises(InvalidParameterError):
         atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: atom_cavity_ae(GAMMA, G_COUP, math.nan),
+    lambda: atom_cavity_ae(GAMMA, G_COUP, complex(0.0, math.inf)),
+    lambda: ae_certificate_table((), n_intervals=1, blocks=1, alpha=math.nan),
+], ids=["nan", "infinite-imaginary", "table-nan"])
+def test_non_finite_drive_is_a_typed_error(build):
+    # Before any matrix is built: a NaN drive once reached numpy's SVD.
+    with pytest.raises(InvalidAmplitudeError):
+        build()
 
 
 def test_atom_cavity_ae_resolvent_denominators():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qsdecert import (
     ApproxState,
     InvalidApproximantError,
+    InvalidParameterError,
     NumericError,
     OptimizeSchedule,
     PartitionError,
@@ -29,7 +30,16 @@ from qsdecert import (
     residual_norm,
 )
 from qsdecert.adiabatic import COEFF_DAMPING
-from qsdecert.states import _BlockOptimizer, _expm2, _joint_evaluator, _solve_coefficients
+from qsdecert.states import (
+    FATOL,
+    SEARCH_PENALTY,
+    XATOL,
+    _BlockOptimizer,
+    _expm2,
+    _joint_evaluator,
+    _nelder_mead,
+    _solve_coefficients,
+)
 
 MODEL = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 2)
 
@@ -338,6 +348,43 @@ def test_optimize_descends_and_is_deterministic():
         assert g1 == g2
     # the reported cost is the honest re-evaluated residual
     assert r1.cost == pytest.approx(cost(MODEL, psi, r1.state), abs=1e-14)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+@pytest.mark.parametrize("objective, x0, maxiter, adaptive", [
+    (_rosenbrock, np.array([-1.2, 1.0]), 400, False),
+    (_rosenbrock, np.linspace(-1.0, 1.0, 8), 3200, True),
+    (_rosenbrock, np.linspace(-1.0, 1.0, 8), 40, True),
+    (lambda x: SEARCH_PENALTY if x[0] > 0.5 else float(np.sum((x - 1.0) ** 2)),
+     np.array([0.2, 0.0, 0.3]), 600, False),
+    (lambda x: round(float(np.sum(x ** 2)), 1), np.array([1.0, -2.0, 0.5, 0.0]), 800, False),
+], ids=["rosenbrock-2", "rosenbrock-8-adaptive", "rosenbrock-8-maxiter", "penalty",
+        "ties"])
+def test_nelder_mead_matches_scipy(objective, x0, maxiter, adaptive):
+    # The searches' simplex does scipy's arithmetic step for step, so it
+    # ends on the same point, value and evaluation count, bit for bit.
+    import scipy.optimize
+
+    x, fun, nfev = _nelder_mead(objective, x0, maxiter, adaptive)
+    ref = scipy.optimize.minimize(objective, x0, method="Nelder-Mead", options={
+        "maxiter": maxiter, "fatol": FATOL, "xatol": XATOL, "adaptive": adaptive})
+    assert nfev == ref.nfev
+    assert np.array_equal(x, ref.x)
+    assert fun == ref.fun
+
+
+@pytest.mark.parametrize("field, value", [
+    ("block_size", -1), ("block_size", 0), ("block_size", 2.5), ("max_iter", 0),
+    ("u_support", 0), ("u_penalty", math.nan),
+])
+def test_optimize_schedule_rejects_invalid_fields(field, value):
+    # These once ran, in order: a search of nfev 0, the joint search, into a
+    # TypeError, as if max_iter or u_support were unset, with no damping.
+    with pytest.raises(InvalidParameterError):
+        OptimizeSchedule(**{field: value})
 
 
 def test_optimize_never_worse_than_initial():
