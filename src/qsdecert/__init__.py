@@ -39,7 +39,6 @@ from .operators import (
     tensor,
 )
 from .models import (
-    ModelFamily,
     SlhModel,
     atom_cavity,
     kerr_cavity,

@@ -26,10 +26,10 @@ from .errors import (
     InvalidModelError,
     InvalidParameterError,
     StructuralModelError,
+    as_amplitudes,
     as_level,
     as_nonnegative,
     as_times,
-    check_amplitude,
     check_rates,
 )
 from .models import SlhModel
@@ -70,7 +70,9 @@ class AeModel:
     space H0 (P0 diagonal). `represented` marks basis vectors whose level
     block survived truncation intact; the structural identities are asserted
     on that submatrix only, and J_max acts as a guard level for detecting
-    truncation leakage in operator compositions.
+    truncation leakage in operator compositions. Every block, W's included,
+    must be finite and (dim, dim), else a typed error before any structural
+    check.
     """
 
     def __init__(self, Y, Ytilde, A, B, F, G, W, P0, level_of_basis,
@@ -96,9 +98,12 @@ class AeModel:
 
         if len(self.G) != self.m:
             raise InvalidDimensionError("F and G channel counts differ")
-        for M in [self.Y, self.Ytilde, self.A, self.B, self.P0, *self.F, *self.G]:
+        for M in [self.Y, self.Ytilde, self.A, self.B, self.P0, *self.F, *self.G,
+                  *(Wij for row in self.W for Wij in row)]:
             if M.shape != (self.dim, self.dim):
                 raise InvalidDimensionError("all blocks must share one dimension")
+            if not np.isfinite(M).all():
+                raise InvalidParameterError("model operators must be finite")
         diag = np.diagonal(self.P0)
         if opnorm(self.P0 - np.diag(diag)) > STRUCTURAL_TOL or not np.all(
             np.isclose(diag.real, np.round(diag.real), atol=STRUCTURAL_TOL)
@@ -156,17 +161,11 @@ class AeConstants:
         as_level(self.k, "scaling parameter")
 
 
-def _amps(x, m):
-    v = np.atleast_1d(np.asarray(x, dtype=complex))
-    if v.shape != (m,):
-        raise InvalidDimensionError(f"need {m} channel amplitudes, got {v.shape}")
-    return v
-
-
 def ae_operators(model: AeModel, alpha, beta):
-    """Displaced slow/fast coupling blocks A^(ab), B^(ab)."""
-    alpha = _amps(alpha, model.m)
-    beta = _amps(beta, model.m)
+    """Displaced slow/fast coupling blocks A^(ab), B^(ab) at model.m channel
+    amplitudes alpha, beta (errors.as_amplitudes)."""
+    alpha = as_amplitudes(alpha, model.m, "alpha")
+    beta = as_amplitudes(beta, model.m, "beta")
     eye = np.eye(model.dim, dtype=complex)
     Aab = model.A.astype(complex).copy()
     for j in range(model.m):
@@ -238,13 +237,11 @@ def limit_coefficients(model: AeModel) -> SlhModel:
 def _m_matrices(model: AeModel, G, alpha, beta):
     """k-affine split of the two M compositions restricted to H0.
 
-    G is the generator of limit_coefficients(model) at (alpha, beta).
-    Returns (P1, Q1, P2, Q2) with M1 = ||P1 + Q1/k||, M2 = ||P2 + Q2/k||;
-    raises if any composition carries amplitude at or beyond the guard
-    level J_max.
+    G is the generator of limit_coefficients(model) at (alpha, beta), whose
+    callers have checked them as amplitudes. Returns (P1, Q1, P2, Q2) with
+    M1 = ||P1 + Q1/k||, M2 = ||P2 + Q2/k||; raises if any composition carries
+    amplitude at or beyond the guard level J_max.
     """
-    alpha = _amps(alpha, model.m)
-    beta = _amps(beta, model.m)
     E = model.embedding()
     off = np.eye(model.dim, dtype=complex) - model.P0
     Yt = model.Ytilde
@@ -280,9 +277,10 @@ def _rates(matrices, k) -> AeConstants:
 
 
 def m_constants(model: AeModel, alpha, beta, k) -> AeConstants:
-    """Operator-norm rates M1, M2 at scaling parameter k."""
-    a = _amps(alpha, model.m)
-    b = _amps(beta, model.m)
+    """Operator-norm rates M1, M2 at scaling parameter k and model.m channel
+    amplitudes alpha, beta (errors.as_amplitudes, before any matrix)."""
+    a = as_amplitudes(alpha, model.m, "alpha")
+    b = as_amplitudes(beta, model.m, "beta")
     return _rates(_m_matrices(model, generator(limit_coefficients(model), a, b), a, b), k)
 
 
@@ -347,13 +345,16 @@ def oscillator_elimination(E00, E01, E10, E11, F, G, W, J_max: int = 4) -> AeMod
     All arguments are blocks on the retained factor H'; the oscillator enters
     as Y = E11 (x) a*a, A = E10 (x) a* + E01 (x) a, B = E00 (x) I with
     couplings F_j (x) a*, G_j (x) I and scattering W_ij (x) I, truncated at
-    oscillator level J_max, a level (errors.as_level).
+    oscillator level J_max, a level (errors.as_level). Non-finite blocks raise
+    InvalidParameterError (AeModel's check, and E11's before its inversion).
     """
     J_max = as_level(J_max, "guard level J_max")
     E00 = np.asarray(E00, dtype=complex)
     E01 = np.asarray(E01, dtype=complex)
     E10 = np.asarray(E10, dtype=complex)
     E11 = np.asarray(E11, dtype=complex)
+    if not np.isfinite(E11).all():
+        raise InvalidParameterError("model operators must be finite")
     if np.linalg.cond(E11) > E11_MAX_COND:
         raise InvalidModelError("fast block E11 is numerically singular")
     E11_inv = np.linalg.inv(E11)
@@ -395,10 +396,11 @@ def atom_cavity_ae(gamma: float, g: float, alpha_drive: complex,
     |+-, n> is n and of |e, n> is n+1, so the slow space is spanned by
     |+, 0> and |-, 0>. The fast-block pseudo-inverse is assembled blockwise
     on H_j = span{|+, j>, |-, j>, |e, j-1>} with d_j = j(j-1) gamma^2/4 + j g^2.
+    alpha_drive is one amplitude (errors.as_amplitudes, before any matrix).
     """
     as_nonnegative(gamma, "decay rate gamma", positive=True)
     as_nonnegative(g, "coupling g", positive=True)
-    check_amplitude(alpha_drive, "drive amplitude alpha_drive")
+    alpha_drive = as_amplitudes(alpha_drive, 1, "drive amplitude alpha_drive")[0]
     J_max = as_level(J_max, "guard level J_max")
     if J_max < 2:
         raise InvalidParameterError("need J_max >= 2 for the block structure")

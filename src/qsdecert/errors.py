@@ -5,7 +5,7 @@ so callers can catch library errors without masking programming errors.
 Whether an input is valid is decided here alone: a count (level, order,
 number of intervals) by as_level, a time by as_times or as_nonnegative, a
 rate or coupling by as_nonnegative or, for a record's fields, check_rates,
-and a scalar drive amplitude by check_amplitude.
+and a vector of channel amplitudes (or one drive amplitude) by as_amplitudes.
 """
 
 import math
@@ -115,15 +115,19 @@ def as_nonnegative(value, what: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _kind(value) -> str:
+    """numpy's dtype kind of value ("U" for strings), "O" for a ragged sequence."""
+    try:
+        return np.asarray(value).dtype.kind
+    except ValueError:
+        return "O"
+
+
 def as_times(t) -> np.ndarray:
     """t as a float array (0-d for a scalar) whose every entry is a time
     under as_nonnegative, else InvalidParameterError. Strings, complex
     numbers and ragged sequences are not times."""
-    try:
-        real = np.asarray(t).dtype.kind in "biuf"
-    except ValueError:  # a ragged sequence
-        real = False
-    if not real:
+    if _kind(t) not in "biuf":
         raise InvalidParameterError(f"time must be a real number or array, got {t!r}")
     t = np.asarray(t, dtype=float)
     bad = t[~(np.isfinite(t) & (t >= 0))]
@@ -156,14 +160,14 @@ def check_rates(record, names, positive=None) -> None:
         raise InvalidParameterError(f"rate columns differ in length: {sorted(lengths)}")
 
 
-def check_amplitude(value, what: str) -> None:
-    """One drive amplitude `what`: a real or complex scalar (Python or numpy)
-    whose real and imaginary parts are finite, else InvalidAmplitudeError."""
-    try:
-        ok = (isinstance(value, _REAL + (complex, np.complexfloating))
-              and math.isfinite(value.real) and math.isfinite(value.imag))
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise InvalidAmplitudeError(f"{what} must be a finite real or complex number, "
-                                    f"got {value!r}")
+def as_amplitudes(value, m: int, what: str) -> np.ndarray:
+    """Channel amplitudes `what` as a complex (m,) array: m real or complex
+    numbers whose parts are finite, or a bare scalar when m = 1, else
+    InvalidAmplitudeError. Strings, ragged and object sequences are rejected
+    before conversion; valid input converts as np.asarray(value, complex)."""
+    if _kind(value) in "biufc":
+        v = np.atleast_1d(np.asarray(value, dtype=complex))
+        if v.shape == (m,) and np.isfinite(v).all():
+            return v
+    raise InvalidAmplitudeError(f"{what} must be {m} finite real or complex "
+                                f"number(s), got {value!r}")

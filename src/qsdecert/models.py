@@ -10,7 +10,6 @@ coupled to a cavity mode.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,7 +25,6 @@ from .operators import adjoint, annihilation, creation, opnorm, tensor
 
 __all__ = [
     "SlhModel",
-    "ModelFamily",
     "kerr_cavity",
     "atom_cavity",
     "truncate",
@@ -123,18 +121,6 @@ class SlhModel:
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"SlhModel({self.label!r}, m={self.m}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class ModelFamily:
-    """A truncation-level-indexed family of models."""
-
-    label: str
-    builder: Callable[[int], SlhModel]
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, k: int) -> SlhModel:
-        return self.builder(k)
 
 
 def kerr_cavity(lam: float, delta: float, chi: float, k: int) -> SlhModel:
@@ -237,12 +223,9 @@ def truncate(model: SlhModel, k: int) -> SlhModel:
     )
 
 
-# Each family builds a level once and keeps it for the family's lifetime.
-def kerr_family(lam: float, delta: float, chi: float) -> ModelFamily:
-    return ModelFamily(
-        label="kerr", builder=functools.cache(lambda k: kerr_cavity(lam, delta, chi, k)),
-        params={"lam": lam, "delta": delta, "chi": chi},
-    )
+def kerr_family(lam: float, delta: float, chi: float) -> Callable[[int], SlhModel]:
+    """k -> kerr_cavity(lam, delta, chi, k), each level built once and kept."""
+    return functools.cache(lambda k: kerr_cavity(lam, delta, chi, k))
 
 
 # ---------------------------------------------------------------------------

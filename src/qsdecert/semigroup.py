@@ -31,6 +31,7 @@ from .errors import (
     InvalidAmplitudeError,
     ModelIntegrityError,
     PartitionError,
+    as_amplitudes,
     as_nonnegative,
 )
 from .models import SlhModel
@@ -55,11 +56,18 @@ class SimpleFunction:
     """Piecewise-constant amplitude t -> C^m on [0, t_final).
 
     breakpoints: finite, strictly increasing, breakpoints[0] == 0.
-    values: shape (n_intervals, m), value on [breakpoints[i], breakpoints[i+1]).
+    values: shape (n_intervals, m), value on [breakpoints[i], breakpoints[i+1]),
+    finite numbers: strings and other non-numeric values are rejected.
     """
 
     def __init__(self, breakpoints, values):
         bp = np.asarray(breakpoints, dtype=float)
+        try:
+            numeric = np.asarray(values).dtype.kind in "biufc"
+        except ValueError:  # a ragged sequence
+            numeric = False
+        if not numeric:
+            raise InvalidAmplitudeError(f"amplitudes must be numbers, got {values!r}")
         vals = np.atleast_2d(np.asarray(values, dtype=complex))
         if bp.ndim != 1 or bp.size < 2:
             raise InvalidAmplitudeError("need at least two breakpoints")
@@ -92,8 +100,7 @@ class SimpleFunction:
 
     @classmethod
     def constant(cls, value, t_final: float):
-        v = np.atleast_1d(np.asarray(value, dtype=complex))
-        return cls([0.0, t_final], v[None, :])
+        return cls([0.0, t_final], np.atleast_1d(value)[None, :])
 
     @classmethod
     def zero(cls, m: int, t_final: float):
@@ -214,14 +221,10 @@ def affine_coefficients(betas) -> np.ndarray:
 def generator(model: SlhModel, alpha, beta) -> np.ndarray:
     """G(alpha, beta) for constant amplitudes, as a read-only (d, d) matrix:
     the one-row contraction of :func:`affine_basis` with
-    :func:`affine_coefficients`."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    beta = np.atleast_1d(np.asarray(beta, dtype=complex))
-    if alpha.shape != (model.m,) or beta.shape != (model.m,):
-        raise InvalidAmplitudeError(
-            f"amplitudes must have length {model.m}, "
-            f"got {alpha.shape} and {beta.shape}"
-        )
+    :func:`affine_coefficients`, at model.m channel amplitudes alpha, beta
+    (errors.as_amplitudes)."""
+    alpha = as_amplitudes(alpha, model.m, "alpha")
+    beta = as_amplitudes(beta, model.m, "beta")
     G = _generators(model, alpha[None], beta[None])[0]
     G.setflags(write=False)
     return G

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     InvalidApproximantError,
+    InvalidDimensionError,
     NumericError,
     PartitionError,
     as_level,
@@ -175,7 +176,11 @@ def _overlap_sum(model: SlhModel, u, f: SimpleFunction, state: ApproxState) -> f
 
 
 def _residual(norm_sq: float, model: SlhModel, u, f, state: ApproxState) -> float:
-    """sqrt(norm_sq - 2 overlap + ||psi'||^2); NumericError when not finite."""
+    """sqrt(norm_sq - 2 overlap + ||psi'||^2); NumericError when not finite,
+    InvalidDimensionError when u is not a vector of the model's dimension."""
+    if u.shape != (model.dim,):
+        raise InvalidDimensionError(
+            f"reference vector must have dimension {model.dim}, got {u.shape}")
     sq = norm_sq - 2.0 * _overlap_sum(model, u, f, state) + approx_norm(state) ** 2
     if not math.isfinite(sq):
         raise NumericError(f"squared residual is not finite ({sq})")
@@ -287,36 +292,41 @@ def _expm(M: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(M)
 
 
-def _solve_coefficients(kappa, b, support, us, ws, qs, penalty=0.0):
-    """Minimizer over the support components of every u_j.
+def _solve_coefficients(kappa, qs, us, support, penalty):
+    """(cost, solved (L, d) u array, failed): the minimizer over the support
+    components of every u_j, for field Gram kappa = exp<g_i, g_j> and chain
+    rows qs[j] = u^dag T_j.
 
     Minimizes C0 - 2 Re(v^dag c) + c^dag (kappa (x) I) c where the constant
-    carries the frozen tails; returns (cost, solved u's as an (L, d) array).
-    kappa is the field Gram exp<g_i, g_j>, b[j, a] = w_j (u^dag C_j)[a] on
-    the support. Since pinv(kappa (x) I) = pinv(kappa) (x) I, the system is
-    solved as kappa c = conj(b) with one right-hand side per support
-    component, at the singular-value cutoff of the (L s)-square system.
+    carries the frozen tails and v = conj(b), b[j, a] = w_j qs[j, a] on the
+    support, with weights w_j = ||e(g_j)||, the roots of kappa's diagonal.
+    Since pinv(kappa (x) I) = pinv(kappa) (x) I, the system is solved as
+    kappa c = v with one right-hand side per support component, at the
+    singular-value cutoff of the (L s)-square system.
 
     penalty > 0 adds a ridge penalty * sum_j kappa[j,j] ||c_j||^2 to the
     solve (Levenberg damping by the Gram diagonal, i.e. the squared term
     weights ||u_j||^2 ||e(g_j)||^2), which suppresses the large cancelling
     coefficients an ill-conditioned exact solve produces. The returned cost
     is the true residual at the damped solution, not the penalized value.
+    Non-finite input or cost returns SEARCH_PENALTY with us unchanged and
+    failed set.
     """
-    L = len(us)
     s = support
-    if not (np.isfinite(kappa).all() and np.isfinite(b).all()):
-        return math.inf, us
+    ws = np.sqrt(np.maximum(kappa.diagonal().real, 0.0))
+    qs = np.asarray(qs)
+    b = ws[:, None] * qs[:, :s]
     solved = np.array(us, dtype=complex)
+    L, d = solved.shape
+    if not (np.isfinite(kappa).all() and np.isfinite(b).all()
+            and (s == d or np.isfinite(qs).all())):
+        return SEARCH_PENALTY, us, True
     c0 = 1.0
-    if s < solved.shape[1]:
+    if s < d:
         # b holds the rows' support columns; their tails enter only here.
-        q = np.asarray(qs)
-        if not np.isfinite(q).all():
-            return math.inf, us
         tails = solved[:, s:]
         c0 += float(np.sum(kappa * (tails.conj() @ tails.T)).real)
-        c0 -= 2.0 * float(np.dot(ws, np.sum(q[:, s:] * tails, axis=1).real))
+        c0 -= 2.0 * float(np.dot(ws, np.sum(qs[:, s:] * tails, axis=1).real))
 
     v = np.conj(b)
     rcond = _EPS * L * s
@@ -331,20 +341,7 @@ def _solve_coefficients(kappa, b, support, us, ws, qs, penalty=0.0):
         cstar = np.linalg.lstsq(kappa, v, rcond=rcond)[0]
         value = c0 - float(np.vdot(v, cstar).real)
     solved[:, :s] = cstar
-    return math.sqrt(max(value, 0.0)), solved
-
-
-def _horizon_cost(kappa, qs, us, support, penalty):
-    """(cost, solved (L, d) u array, failed) for field Gram kappa and chain rows qs.
-
-    qs[j] = u^dag T_j is term j's chain row; the weights are ||e(g_j)||. A
-    non-finite cost returns SEARCH_PENALTY with us unchanged and failed set.
-    """
-    ws = np.sqrt(np.maximum(kappa.diagonal().real, 0.0))
-    qs = np.asarray(qs)
-    value, solved = _solve_coefficients(
-        kappa, ws[:, None] * qs[:, :support], support, us, ws, qs, penalty
-    )
+    value = math.sqrt(max(value, 0.0))
     if not math.isfinite(value):
         return SEARCH_PENALTY, us, True
     return value, solved, False
@@ -446,7 +443,7 @@ def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedu
         with np.errstate(over="ignore"):
             kappa = np.exp(_gram(dts, vals))
         qs = [_chain_row(row, basis, v) for v in vals]
-        return _horizon_cost(kappa, qs, us, support, schedule.u_penalty)
+        return _solve_coefficients(kappa, qs, us, support, schedule.u_penalty)
 
     return evaluate
 
@@ -690,7 +687,7 @@ class _BlockOptimizer:
             kappa[:, j] = col
             kappa[j] = np.conj(col)
             qs[j] = _chain_row(row, basis, beta) @ suffix
-            value, _, failed = _horizon_cost(kappa, qs, self.us, self.support, penalty)
+            value, _, failed = _solve_coefficients(kappa, qs, self.us, self.support, penalty)
             self.failed |= failed
             return value
 
@@ -715,7 +712,7 @@ class _BlockOptimizer:
     def _resolve(self, lo: int, hi: int, qs: np.ndarray):
         """Solve the system vectors with every block at its current value."""
         kappa_in = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
-        _, self.us, failed = _horizon_cost(
+        _, self.us, failed = _solve_coefficients(
             np.exp(kappa_in), qs, self.us, self.support, self.schedule.u_penalty
         )
         self.failed |= failed

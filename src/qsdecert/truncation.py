@@ -424,7 +424,9 @@ _KERR_REF_G = ([0.0, 0.5, 5.0], [[0.0866 + 0.0462j], [0.0882 + 0.0471j]])
 
 
 def kerr_reference_state(dim: int) -> ApproxState:
-    """Bundled reference minimizer for the Kerr benchmark, padded to dim."""
+    """Bundled reference minimizer for the Kerr benchmark, padded to dim, a
+    count (errors.as_level) of at least 3."""
+    dim = as_level(dim, "dimension")
     if dim < _KERR_REF_U.size:
         raise InvalidParameterError(f"need dim >= {_KERR_REF_U.size}")
     g = SimpleFunction(*_KERR_REF_G)

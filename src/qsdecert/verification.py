@@ -28,9 +28,10 @@ from .errors import (
     InvalidParameterError,
     NumericError,
     ReferenceUnconvergedWarning,
+    as_level,
     as_nonnegative,
 )
-from .models import ModelFamily, SlhModel, _fock_embedding, kerr_cavity, kerr_family
+from .models import SlhModel, _fock_embedding, kerr_cavity, kerr_family
 from .operators import matexp, opnorm
 from .semigroup import SimpleFunction, generator, propagate
 from .states import ApproxState, residual_norm
@@ -68,13 +69,16 @@ def ode_propagate(G, u, t: float, tol: float = ODE_DEFAULT_TOL) -> np.ndarray:
 
     Adaptive embedded 5(4) pairs keep the local error estimate per step at
     or below tol. Raises NumericError if the controller underflows the step
-    size, InvalidParameterError for tol outside [1e-12, 1e-6] or a t that is
-    not one finite, nonnegative time (errors.as_nonnegative).
+    size or G has a non-finite entry, InvalidParameterError for tol outside
+    [1e-12, 1e-6] or a t that is not one finite, nonnegative time
+    (errors.as_nonnegative).
     """
     G = np.asarray(G, dtype=complex)
     u = np.asarray(u, dtype=complex)
     if G.ndim != 2 or G.shape[0] != G.shape[1] or u.shape != (G.shape[0],):
         raise InvalidDimensionError("generator/state dimension mismatch")
+    if not np.isfinite(G).all():
+        raise NumericError("generator has non-finite entries")
     if not 1e-12 <= tol <= 1e-6:
         raise InvalidParameterError(f"tolerance must lie in [1e-12, 1e-6], got {tol}")
     t = as_nonnegative(t, "time")
@@ -111,15 +115,16 @@ def ode_propagate(G, u, t: float, tol: float = ODE_DEFAULT_TOL) -> np.ndarray:
     return y
 
 
-def empirical_truncation_error(family: ModelFamily, k: int, K_ref: int,
+def empirical_truncation_error(family, k: int, K_ref: int,
                                alpha, beta, t: float, u) -> float:
     """Measured distance between level-k and high-cutoff semigroup orbits.
 
-    Both models propagate the same initial vector (u given in level-k
-    coordinates, zero-padded into the reference); the reference is deemed
-    converged if doubling K_ref moves the answer by less than 1% (relative,
-    floored at 1e-9 so roundoff on near-zero errors cannot trigger it),
-    otherwise a ReferenceUnconvergedWarning is emitted. A matrix u holds
+    family is a callable k -> SlhModel, the model truncated at level k (such
+    as models.kerr_family). Both models propagate the same initial vector (u
+    given in level-k coordinates, zero-padded into the reference); the
+    reference is deemed converged if doubling K_ref moves the answer by less
+    than 1% (relative, floored at 1e-9 so roundoff on near-zero errors cannot
+    trigger it), otherwise a ReferenceUnconvergedWarning is emitted. A matrix u holds
     one initial vector per column and gives the array of their distances,
     each equal to the distance for that column alone; the semigroups are
     exponentiated once for all columns.
@@ -130,7 +135,7 @@ def empirical_truncation_error(family: ModelFamily, k: int, K_ref: int,
     return _orbit_distances(family, k, K_ref, references, alpha, beta, t, u)
 
 
-def _references(family: ModelFamily, K_ref: int, alpha, beta, t: float):
+def _references(family, K_ref: int, alpha, beta, t: float):
     """The level-K_ref and level-2K_ref models, each with its exp(t G)."""
     return [(ref, propagate(generator(ref, alpha, beta), t))
             for ref in (family(K_ref), family(2 * K_ref))]
@@ -181,9 +186,11 @@ def fock_expand_residual(model: SlhModel, psi, psi_prime: ApproxState,
     Restricted to a single-term approximant on a single interval with
     ||f||, ||g|| <= 1/2 so the order-12 sector truncation sits below 1e-14;
     field overlaps come from the truncated exponential series and the
-    propagation from the ODE stepper.
+    propagation from the ODE stepper. order is a count (errors.as_level)
+    of at least 12.
     """
     u, f = psi
+    order = as_level(order, "sector order")
     if order < 12:
         raise InvalidParameterError(f"sector order must be >= 12, got {order}")
     if psi_prime.n_terms != 1:

@@ -99,6 +99,10 @@ def test_structural_validation():
         _rebuild(m, G=[np.zeros((m.dim, m.dim))] * 2)  # channel count mismatch
     with pytest.raises(InvalidDimensionError):
         _rebuild(m, B=np.zeros((m.dim + 1, m.dim + 1)))
+    with pytest.raises(InvalidDimensionError):
+        _rebuild(m, W=[[np.eye(m.dim + 1)]])  # numpy's ValueError in the limit
+    with pytest.raises(InvalidParameterError, match="finite"):
+        _rebuild(m, Ytilde=np.full_like(m.Ytilde, np.nan))
 
 
 def test_atom_cavity_ae_pseudoinverse_structure():
@@ -116,15 +120,46 @@ def test_atom_cavity_ae_pseudoinverse_structure():
         atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=1)
 
 
+# errors.as_amplitudes is the one amplitude rule. Before it, a NaN or
+# infinite amplitude reached numpy's SVD (m_constants) or gave NaN matrices
+# (generator, ae_operators), a string raised a builtin ValueError, and a wrong
+# length raised InvalidDimensionError in adiabatic.
+BAD_AMPLITUDES = {"nan": [math.nan], "infinite-imaginary": [complex(0.0, math.inf)],
+                  "abc": "abc", "length": [DRIVE, DRIVE]}
+AMPLITUDE_CALLS = {
+    "generator": lambda a: generator(limit_coefficients(atom_cavity_ae(GAMMA, G_COUP, DRIVE)),
+                                     a, [DRIVE]),
+    "ae_operators": lambda a: ae_operators(atom_cavity_ae(GAMMA, G_COUP, DRIVE), [DRIVE], a),
+    "m_constants": lambda a: m_constants(atom_cavity_ae(GAMMA, G_COUP, DRIVE), a, [DRIVE], 10),
+}
+
+
 @pytest.mark.parametrize("build", [
     lambda: atom_cavity_ae(GAMMA, G_COUP, math.nan),
     lambda: atom_cavity_ae(GAMMA, G_COUP, complex(0.0, math.inf)),
     lambda: ae_certificate_table((), n_intervals=1, blocks=1, alpha=math.nan),
-], ids=["nan", "infinite-imaginary", "table-nan"])
+    *(lambda call=call, bad=bad: call(bad)
+      for call in AMPLITUDE_CALLS.values() for bad in BAD_AMPLITUDES.values()),
+], ids=["nan", "infinite-imaginary", "table-nan",
+        *(f"{call}-{bad}" for call in AMPLITUDE_CALLS for bad in BAD_AMPLITUDES)])
 def test_non_finite_drive_is_a_typed_error(build):
     # Before any matrix is built: a NaN drive once reached numpy's SVD.
     with pytest.raises(InvalidAmplitudeError):
         build()
+
+
+@pytest.mark.parametrize("block, value", [
+    ("E00", math.nan), ("E01", math.nan), ("E10", math.nan), ("E11", math.nan),
+    ("F", math.nan), ("G", math.inf), ("W", math.nan),
+])
+def test_non_finite_model_blocks_are_typed_errors(block, value):
+    # A NaN E01, E10, E11 or F reached numpy's SVD; the others built a model.
+    blocks = dict(E00=Z1, E01=Z1, E10=Z1, E11=[[-GAMMA / 2.0]],
+                  F=[np.array([[np.sqrt(GAMMA)]])], G=[Z1], W=[[np.eye(1)]])
+    bad = np.array([[value]])
+    blocks[block] = {"F": [bad], "G": [bad], "W": [[bad]]}.get(block, bad)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        oscillator_elimination(**blocks)
 
 
 def test_atom_cavity_ae_resolvent_denominators():

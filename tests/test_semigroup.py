@@ -45,6 +45,10 @@ def test_simple_function_validation():
         SimpleFunction(np.array([0.0]), np.array([[0.1]]).reshape(1, 1)[:0])
     with pytest.raises(InvalidAmplitudeError):
         SimpleFunction.zero(1, np.inf)  # its norm_sq() was NaN
+    with pytest.raises(InvalidAmplitudeError):
+        SimpleFunction([0.0, 1.0], ["a"])  # numpy's ValueError
+    with pytest.raises(InvalidAmplitudeError):
+        SimpleFunction([0.0, 1.0], ["1"])  # read as 1+0j
 
 
 def test_simple_function_evaluation():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qsdecert import (
     ApproxState,
     InvalidApproximantError,
+    InvalidDimensionError,
     InvalidParameterError,
     NumericError,
     OptimizeSchedule,
@@ -28,6 +29,7 @@ from qsdecert import (
     limit_coefficients,
     optimize,
     residual_norm,
+    theorem_bound,
 )
 from qsdecert.adiabatic import COEFF_DAMPING
 from qsdecert.states import (
@@ -165,6 +167,20 @@ def test_cost_and_residual_norm_raise_on_nonfinite_residual():
         residual_norm(MODEL, (_e(0), f), state)
 
 
+@pytest.mark.parametrize("call", [
+    lambda u, f, state: cost(MODEL, (u, f), state),
+    lambda u, f, state: residual_norm(MODEL, (u, f), state),
+    lambda u, f, state: optimize(MODEL, (u, f), state),
+    lambda u, f, state: theorem_bound(MODEL, (u, f), state, f, 2, 2),
+], ids=["cost", "residual_norm", "optimize", "theorem_bound"])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_reference_vector_must_match_the_model(call, dim):
+    # These ended in numpy's ValueError from the overlap's vdot.
+    f = SimpleFunction.constant([0.1], 1.0)
+    with pytest.raises(InvalidDimensionError):
+        call(_e(0, dim), f, ApproxState([(_e(0), f)]))
+
+
 def test_cost_invariant_under_term_permutation():
     f = SimpleFunction.constant([0.1], 1.0)
     u = _e(0)
@@ -250,7 +266,7 @@ def test_solve_coefficients_matches_kronecker_solve(L, dim, data, penalty, seed)
     b = ws[:, None] * qs[:, :s]
     us = list(rng.normal(size=(L, dim)) + 1j * rng.normal(size=(L, dim)))
 
-    value, solved = _solve_coefficients(kappa, b, s, us, ws, qs, penalty)
+    value, solved, _ = _solve_coefficients(kappa, qs, us, s, penalty)
     ref_value, ref_solved = _kron_solve_reference(kappa, b, s, us, ws, qs, penalty)
     assert ref_value >= 0.7
     assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
@@ -300,11 +316,10 @@ def test_solve_coefficients_exact_and_damped():
     kappa = np.array([[1.0, 0.999], [0.999, 1.0]], dtype=complex)
     b = np.array([[0.6], [0.61]], dtype=complex)
     us = [np.zeros(1, dtype=complex), np.zeros(1, dtype=complex)]
-    ws = [1.0, 1.0]
-    qs = [np.zeros(1, dtype=complex), np.zeros(1, dtype=complex)]
+    qs = b  # kappa's diagonal is 1, so the weights are 1 and b = qs
     v = np.conj(b).ravel()
 
-    cost0, sol0 = _solve_coefficients(kappa, b, 1, us, ws, qs, penalty=0.0)
+    cost0, sol0, _ = _solve_coefficients(kappa, qs, us, 1, penalty=0.0)
     ce = np.linalg.solve(kappa, v)
     np.testing.assert_allclose(np.concatenate(sol0), ce, rtol=1e-10)
     assert cost0 == pytest.approx(
@@ -312,7 +327,7 @@ def test_solve_coefficients_exact_and_damped():
     )
 
     lam = 1e-3
-    costd, sold = _solve_coefficients(kappa, b, 1, us, ws, qs, penalty=lam)
+    costd, sold, _ = _solve_coefficients(kappa, qs, us, 1, penalty=lam)
     cd = np.linalg.solve(kappa + lam * np.diag(np.diag(kappa).real), v)
     np.testing.assert_allclose(np.concatenate(sold), cd, rtol=1e-10)
     manual = 1.0 - 2.0 * float(np.vdot(v, cd).real) + float(
@@ -326,8 +341,8 @@ def test_solve_coefficients_exact_and_damped():
 
     bad = kappa.copy()
     bad[0, 0] = np.nan
-    inf_cost, _ = _solve_coefficients(bad, b, 1, us, ws, qs)
-    assert inf_cost == math.inf
+    bad_cost, _, failed = _solve_coefficients(bad, qs, us, 1, penalty=0.0)
+    assert bad_cost == SEARCH_PENALTY and failed
 
 
 def test_optimize_descends_and_is_deterministic():

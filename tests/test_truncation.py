@@ -34,6 +34,7 @@ from qsdecert import (
     coherent_mismatch,
     constants_for,
     exp_norm,
+    fock_expand_residual,
     generator,
     interval_sum,
     kerr_cavity,
@@ -445,9 +446,14 @@ COUNT_CASES = {
         Z1, Z1, Z1, [[-12.5]], [np.array([[5.0]])], [Z1], [[np.eye(1)]], J_max=0),
     "atom_cavity_ae_J_max_2.5": lambda: atom_cavity_ae(25.0, 5.0, 0.1, J_max=2.5),
     "BoundConstants_k_abc": lambda: BoundConstants(1.0, 1.0, 1.0, 1.0, k="abc"),
+    "kerr_reference_state_3.5": lambda: kerr_reference_state(3.5),
+    "fock_expand_residual_order_nan": lambda: fock_expand_residual(
+        kerr_cavity(25.0, 50.0, -1.0, 3), (U_KERR, F_KERR), ApproxState([(U_KERR, F_KERR)]),
+        order=math.nan),
 }
 G_KERR = generator(kerr_cavity(25.0, 50.0, -1.0, 3), [0.1], [0.1])
 U_KERR = np.eye(4, dtype=complex)[0]
+F_KERR = SimpleFunction.constant([0.1], 1.0)
 TIME_CASES = {
     "ode_propagate_nan": lambda: ode_propagate(G_KERR, U_KERR, math.nan),
     "ode_propagate_abc": lambda: ode_propagate(G_KERR, U_KERR, "abc"),

@@ -7,7 +7,6 @@ from qsdecert import (
     ApproxState,
     InvalidDimensionError,
     InvalidParameterError,
-    ModelFamily,
     NumericError,
     QsdeCertError,
     ReferenceUnconvergedWarning,
@@ -47,6 +46,9 @@ def test_ode_propagate_validation():
         ode_propagate(g, u, -1.0)
     with pytest.raises(InvalidDimensionError):
         ode_propagate(g, np.ones(3, dtype=complex), 1.0)
+    # A non-finite generator ended in numpy's LinAlgError from the step-size norm.
+    with pytest.raises(NumericError):
+        ode_propagate(np.full((2, 2), np.nan), u, 1.0)
 
 
 def test_ode_propagate_zero_time_copies():
@@ -107,9 +109,7 @@ def test_empirical_error_dominated_by_z_bound():
 
 def test_empirical_error_warns_on_unconverged_reference():
     # a family whose physics changes with the cutoff never converges in K_ref
-    drifty = ModelFamily(
-        "drifty", lambda k: kerr_cavity(25.0, 50.0 + 3.0 * k, -5.0 / 6.0, k), {}
-    )
+    drifty = lambda k: kerr_cavity(25.0, 50.0 + 3.0 * k, -5.0 / 6.0, k)
     with pytest.warns(ReferenceUnconvergedWarning):
         empirical_truncation_error(drifty, 3, 12, [0.1], [0.1], 1.0, _basis(3, 4))
 
@@ -125,9 +125,7 @@ def test_empirical_error_matrix_of_initial_vectors():
         empirical_truncation_error(FAMILY, 5, 15, [0.1], [0.1], 0.5, u[:, n])
         for n in range(3)
     ]
-    drifty = ModelFamily(
-        "drifty", lambda k: kerr_cavity(25.0, 50.0 + 3.0 * k, -5.0 / 6.0, k), {}
-    )
+    drifty = lambda k: kerr_cavity(25.0, 50.0 + 3.0 * k, -5.0 / 6.0, k)
     with pytest.warns(ReferenceUnconvergedWarning):
         empirical_truncation_error(drifty, 3, 12, [0.1], [0.1], 1.0, np.eye(4))
 
