@@ -345,15 +345,16 @@ def oscillator_elimination(E00, E01, E10, E11, F, G, W, J_max: int = 4) -> AeMod
     All arguments are blocks on the retained factor H'; the oscillator enters
     as Y = E11 (x) a*a, A = E10 (x) a* + E01 (x) a, B = E00 (x) I with
     couplings F_j (x) a*, G_j (x) I and scattering W_ij (x) I, truncated at
-    oscillator level J_max, a level (errors.as_level). Non-finite blocks raise
-    InvalidParameterError (AeModel's check, and E11's before its inversion).
+    oscillator level J_max, a level (errors.as_level). A non-finite block
+    raises InvalidParameterError before any of them is inverted or tensored.
     """
     J_max = as_level(J_max, "guard level J_max")
-    E00 = np.asarray(E00, dtype=complex)
-    E01 = np.asarray(E01, dtype=complex)
-    E10 = np.asarray(E10, dtype=complex)
-    E11 = np.asarray(E11, dtype=complex)
-    if not np.isfinite(E11).all():
+    E00, E01, E10, E11 = (np.asarray(E, dtype=complex) for E in (E00, E01, E10, E11))
+    F = [np.asarray(Fj, dtype=complex) for Fj in F]
+    G = [np.asarray(Gj, dtype=complex) for Gj in G]
+    W = [[np.asarray(Wij, dtype=complex) for Wij in row] for row in W]
+    if not all(np.isfinite(M).all()
+               for M in [E00, E01, E10, E11, *F, *G, *(Wij for row in W for Wij in row)]):
         raise InvalidParameterError("model operators must be finite")
     if np.linalg.cond(E11) > E11_MAX_COND:
         raise InvalidModelError("fast block E11 is numerically singular")
@@ -376,10 +377,9 @@ def oscillator_elimination(E00, E01, E10, E11, F, G, W, J_max: int = 4) -> AeMod
         Ytilde=tensor(E11_inv, inv_n),
         A=tensor(E10, ad) + tensor(E01, a),
         B=tensor(E00, eyef),
-        F=[tensor(np.asarray(Fj, dtype=complex), ad) for Fj in F],
-        G=[tensor(np.asarray(Gj, dtype=complex), eyef) for Gj in G],
-        W=[[tensor(np.asarray(W[i][j], dtype=complex), eyef) for j in range(m)]
-           for i in range(m)],
+        F=[tensor(Fj, ad) for Fj in F],
+        G=[tensor(Gj, eyef) for Gj in G],
+        W=[[tensor(W[i][j], eyef) for j in range(m)] for i in range(m)],
         P0=P0,
         level_of_basis=level,
         J_max=J_max,

@@ -40,6 +40,7 @@ from .errors import (
     NumericError,
     PartitionError,
     QsdeCertError,
+    as_amplitudes,
     as_level,
 )
 from .models import model_from_json
@@ -238,6 +239,7 @@ def cmd_bound(parser, args) -> int:
                 f"--amplitudes must be two comma-separated complex numbers, "
                 f"got {amplitudes!r}"
             ) from exc
+        as_amplitudes([alpha, beta], 2, "--amplitudes")
         consts = constants_for(model, alpha, beta)
     report = CertificateReport(
         k=consts.k or 0,

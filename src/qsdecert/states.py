@@ -13,12 +13,15 @@ system at every evaluation. The simplex is this module's `_nelder_mead`,
 scipy's Nelder-Mead arithmetic without its front end, so no search loads
 scipy.optimize.
 
-Both searches (joint simplex, block sweep) freeze the drive's dt-scaled
-`semigroup.affine_basis` on a fixed partition, and `_chain_row`, the one
-chain through a slice of it, builds each candidate's generators from it:
-2x2 models in Python scalar arithmetic, exponentiated by `_expm2`, the one
-2x2 closed form; other dimensions contracted with `affine_coefficients` and
-passed to the dense `_expm`. `cost` stays on the reference `chain` path.
+Both searches (joint simplex, block sweep) run on one `_Problem`, frozen
+once per `optimize` call under one partition rule: the terms share one
+partition, and it holds every breakpoint of f, or PartitionError. The
+problem freezes the drive's dt-scaled `semigroup.affine_basis` on that
+partition, and `_chain_row`, the one chain through a slice of it, builds
+each candidate's generators from it: 2x2 models in Python scalar
+arithmetic, exponentiated by `_expm2`, the one 2x2 closed form; other
+dimensions contracted with `affine_coefficients` and passed to the dense
+`_expm`. `cost` stays on the reference `chain` path.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .semigroup import (
     affine_basis,
     affine_coefficients,
     chain,
-    refine_common,
 )
 
 __all__ = [
@@ -215,7 +217,9 @@ class OptimizeSchedule:
 
     block_size=None runs one joint simplex search over all free amplitude
     values; a positive block_size sweeps the partition block by block,
-    minimizing the full-horizon cost over one block at a time. The system
+    minimizing the full-horizon cost over one block at a time. Both modes
+    need the terms on one shared partition holding every breakpoint of the
+    drive f (PartitionError otherwise). The system
     vectors are not searched: they are solved exactly from the terms' Gram
     system (restricted to the first u_support components when set, frozen
     tails handled exactly). u_penalty > 0 damps that solve toward small
@@ -347,28 +351,6 @@ def _solve_coefficients(kappa, qs, us, support, penalty):
     return value, solved, False
 
 
-def _pack_values(state: ApproxState):
-    """Flatten amplitude values to a real vector; return vector + shapes."""
-    xs = []
-    shapes = []
-    for _, g in state.terms:
-        shapes.append(g.values.shape)
-        flat = g.values.ravel()
-        xs.extend(flat.real)
-        xs.extend(flat.imag)
-    return np.asarray(xs, dtype=float), shapes
-
-
-def _unpack_values(x, shapes):
-    vals = []
-    pos = 0
-    for shape in shapes:
-        n = int(np.prod(shape))
-        vals.append((x[pos:pos + n] + 1j * x[pos + n:pos + 2 * n]).reshape(shape))
-        pos += 2 * n
-    return vals
-
-
 def _generators2(slices, betas) -> list:
     """Entries of dt G_p = B0 + sum_c beta_pc B_c - (|beta_p|^2 / 2) B_I per
     interval, from the dt-scaled basis slices as (P, m+2) lists of entries
@@ -418,34 +400,65 @@ def _gram(dts, vals) -> np.ndarray:
     return np.einsum("p,ipc,lpc->il", dts, np.conj(vals), vals)
 
 
-def _joint_evaluator(model, psi, template: ApproxState, schedule: OptimizeSchedule):
-    """evaluate(vals) -> (cost, solved u array, failed) for per-term amplitude values.
+def _split(vals) -> np.ndarray:
+    """The real simplex vector of complex values: real parts, then imaginary."""
+    flat = np.ravel(vals)
+    return np.concatenate([flat.real, flat.imag])
 
-    f and every term's partition are refined once into one common partition,
-    on which the dt-scaled affine basis of f is frozen. Each term's values
-    reach the common partition through one precomputed interval index.
+
+def _join(x, shape) -> np.ndarray:
+    """The complex values of shape `shape` that _split flattened to x."""
+    k = len(x) // 2
+    return (x[:k] + 1j * x[k:]).reshape(shape)
+
+
+class _Problem:
+    """The search problem of one optimize call, frozen for both searches.
+
+    One partition rule holds for both: the terms share one partition, and
+    it holds every breakpoint of f (to BREAKPOINT_MERGE_TOL), so f is
+    constant on each interval; otherwise PartitionError. Frozen on it: the
+    durations dts, the dt-scaled affine basis of f (dt G(beta) =
+    basis . (1, beta, -|beta|^2 / 2) per interval), the row u^dag, the
+    initial (L, d) system vectors and (L, P, m) amplitude values, the solve's
+    support and penalty, and the initial label.
     """
-    u, f = psi
-    common = f
-    for _, g in template.terms:
-        common, _ = refine_common(common, g)
-    bp = common.breakpoints
-    dts = np.diff(bp)
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    index = [g.interval_index(mids) for _, g in template.terms]
-    basis = affine_basis(model, common.values) * dts[:, None, None, None]
-    row = np.asarray(u, dtype=complex).conj()
-    us = np.array([uj for uj, _ in template.terms], dtype=complex)
-    support = min(schedule.u_support or model.dim, model.dim)
 
-    def evaluate(vals):
-        vals = np.array([v[i] for v, i in zip(vals, index)])
+    def __init__(self, model, psi, initial: ApproxState, schedule: OptimizeSchedule):
+        u, f = psi
+        self.breakpoints = initial.terms[0][1].breakpoints
+        gaps = np.abs(f.breakpoints[:, None] - self.breakpoints[None, :]).min(axis=1)
+        if ((gaps > BREAKPOINT_MERGE_TOL).any() or not all(
+                np.array_equal(g.breakpoints, self.breakpoints) for _, g in initial.terms)):
+            raise PartitionError(
+                "the search needs the terms on one partition holding every breakpoint of f"
+            )
+        self.dts = np.diff(self.breakpoints)
+        alphas = f.with_breakpoints(self.breakpoints).values
+        self.basis = affine_basis(model, alphas) * self.dts[:, None, None, None]
+        self.row = np.asarray(u, dtype=complex).conj()
+        self.us = np.array([uj for uj, _ in initial.terms], dtype=complex)
+        self.vals = np.array([g.values for _, g in initial.terms], dtype=complex)
+        self.support = min(schedule.u_support or model.dim, model.dim)
+        self.penalty = schedule.u_penalty
+        self.label = initial.label
+        for a in (self.basis, self.row, self.us, self.vals):
+            a.setflags(write=False)
+
+    def evaluate(self, vals):
+        """(cost, solved u array, failed) for (L, P, m) amplitude values, the
+        frozen system vectors supplying the tails beyond the support."""
         with np.errstate(over="ignore"):
-            kappa = np.exp(_gram(dts, vals))
-        qs = [_chain_row(row, basis, v) for v in vals]
-        return _solve_coefficients(kappa, qs, us, support, schedule.u_penalty)
+            kappa = np.exp(_gram(self.dts, vals))
+        qs = [_chain_row(self.row, self.basis, v) for v in vals]
+        return _solve_coefficients(kappa, qs, self.us, self.support, self.penalty)
 
-    return evaluate
+    def state(self, us, vals) -> ApproxState:
+        """The approximant of system vectors us and (L, P, m) values vals."""
+        return ApproxState(
+            [(uj, SimpleFunction(self.breakpoints, v)) for uj, v in zip(us, vals)],
+            label=self.label,
+        )
 
 
 def _nelder_mead(objective, x0, maxiter: int, adaptive: bool):
@@ -542,14 +555,14 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
-    evaluate = _joint_evaluator(model, psi, initial, schedule)
-    x0, shapes = _pack_values(initial)
+def _joint_search(problem: _Problem, schedule: OptimizeSchedule):
+    shape = problem.vals.shape
+    x0 = _split(problem.vals)
     failed = False
 
     def objective(x):
         nonlocal failed
-        value, _, bad = evaluate(_unpack_values(x, shapes))
+        value, _, bad = problem.evaluate(_join(x, shape))
         failed |= bad
         return value
 
@@ -563,19 +576,15 @@ def _joint_search(model, psi, initial, schedule: OptimizeSchedule):
         nfev += n
         if fun < best_val:
             best_val, best_x = fun, x
-    vals = _unpack_values(best_x, shapes)
-    _, us, bad = evaluate(vals)
-    terms = [
-        (uj, SimpleFunction(g.breakpoints, v))
-        for uj, v, (_, g) in zip(us, vals, initial.terms)
-    ]
-    return ApproxState(terms, label=initial.label), nfev, failed or bad
+    vals = _join(best_x, shape)
+    _, us, bad = problem.evaluate(vals)
+    return problem.state(us, vals), nfev, failed or bad
 
 
 class _BlockOptimizer:
     """Sequential block-coordinate descent for many-interval amplitudes.
 
-    All terms share one global partition. Blocks are swept left to right,
+    The terms share the problem's partition. Blocks are swept left to right,
     each sweep minimizing the FULL-horizon cost over one block of one term's
     amplitude values while everything else stays fixed, so the final-time
     objective decreases monotonically. The chain overlap for term j is
@@ -592,39 +601,21 @@ class _BlockOptimizer:
     exactly from the Gram system.
     """
 
-    def __init__(self, model, psi, initial: ApproxState, schedule: OptimizeSchedule):
-        self.u, self.f = psi
-        self.u = np.asarray(self.u, dtype=complex)
+    def __init__(self, model, problem: _Problem, schedule: OptimizeSchedule):
+        self.problem = problem
         self.schedule = schedule
         self.nfev = 0
         self.failed = False
-
-        g0 = initial.terms[0][1]
-        for _, g in initial.terms:
-            if not np.array_equal(g.breakpoints, g0.breakpoints):
-                raise PartitionError("block mode needs one shared partition")
-        self.breakpoints = g0.breakpoints
-        self.dts = np.diff(self.breakpoints)
+        self.dts, self.basis = problem.dts, problem.basis
         self.P = len(self.dts)
         self.m = model.m
         self.dim = model.dim
-        # f must be constant per global interval for the fused generator form.
-        gaps = np.abs(self.f.breakpoints[:, None] - self.breakpoints[None, :]).min(axis=1)
-        if (gaps > BREAKPOINT_MERGE_TOL).any():
-            raise PartitionError(
-                "block mode needs every breakpoint of f in the terms' partition"
-            )
-        alphas = self.f.with_breakpoints(self.breakpoints).values
-
-        # dt G(beta) = basis . (1, beta, -|beta|^2 / 2), frozen per interval.
-        self.basis = affine_basis(model, alphas) * self.dts[:, None, None, None]
-
-        self.us = np.array([u for u, _ in initial.terms], dtype=complex)
-        self.vals = np.array([g.values for _, g in initial.terms], dtype=complex)
+        self.support, self.penalty = problem.support, problem.penalty
+        self.us = problem.us.copy()
+        self.vals = problem.vals.copy()
         self.L = len(self.us)
-        self.support = min(schedule.u_support or model.dim, model.dim)
         # Committed prefixes (over intervals [0, committed)).
-        self.rows = [self.u.conj().copy() for _ in range(self.L)]
+        self.rows = [problem.row.copy() for _ in range(self.L)]
         self.g_inner = np.zeros((self.L, self.L), dtype=complex)
         # Tail data per block boundary (suffix chain products and Gram sums),
         # built once per pass from the values the unswept blocks carry.
@@ -677,7 +668,7 @@ class _BlockOptimizer:
         col_rest = base[:, j] - weights @ self.vals[j, lo:hi].ravel()
         qs = qs.copy()
         basis, row, suffix = self.basis[lo:hi], self.rows[j], self.suffix[hi][j]
-        penalty = self.schedule.u_penalty
+        penalty = self.penalty
 
         def evaluate(beta):
             self.nfev += 1
@@ -696,16 +687,14 @@ class _BlockOptimizer:
     def _sweep_block(self, lo: int, hi: int):
         """One per-term pass over block [lo, hi), full-horizon objective."""
         shape = (hi - lo, self.m)
-        k = shape[0] * self.m
         qs = np.array([self._block_q(lo, hi, i) for i in range(self.L)])
         for j in range(self.L):
             evaluate = self._term_objective(lo, hi, j, qs)
-            vj = self.vals[j, lo:hi].ravel()
-            x0 = np.concatenate([vj.real, vj.imag])
+            x0 = _split(self.vals[j, lo:hi])
             with np.errstate(over="ignore"):
-                x, _, _ = _nelder_mead(lambda x: evaluate((x[:k] + 1j * x[k:]).reshape(shape)),
+                x, _, _ = _nelder_mead(lambda x: evaluate(_join(x, shape)),
                                        x0, self.schedule.max_iter or 120 * x0.size, True)
-            self.vals[j, lo:hi] = (x[:k] + 1j * x[k:]).reshape(shape)
+            self.vals[j, lo:hi] = _join(x, shape)
             qs[j] = self._block_q(lo, hi, j)
         self._resolve(lo, hi, qs)
 
@@ -713,7 +702,7 @@ class _BlockOptimizer:
         """Solve the system vectors with every block at its current value."""
         kappa_in = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
         _, self.us, failed = _solve_coefficients(
-            np.exp(kappa_in), qs, self.us, self.support, self.schedule.u_penalty
+            np.exp(kappa_in), qs, self.us, self.support, self.penalty
         )
         self.failed |= failed
 
@@ -731,11 +720,7 @@ class _BlockOptimizer:
             hi = min(lo + bs, self.P)
             self._sweep_block(lo, hi)
             self._commit_block(lo, hi)
-        terms = [
-            (self.us[i], SimpleFunction(self.breakpoints, self.vals[i].copy()))
-            for i in range(self.L)
-        ]
-        return ApproxState(terms), self.nfev
+        return self.problem.state(self.us, self.vals.copy()), self.nfev
 
 
 def optimize(model: SlhModel, psi, initial: ApproxState,
@@ -744,19 +729,22 @@ def optimize(model: SlhModel, psi, initial: ApproxState,
 
     Derivative-free simplex search over the real and imaginary parts of every
     free amplitude value, with system vectors solved exactly per candidate.
-    Never returns a state worse than `initial`; a non-finite cost encountered
-    during the search sets `search_failure` and the best finite iterate is
-    returned.
+    The terms of `initial` must share one partition that holds every
+    breakpoint of f, in either mode; otherwise PartitionError. The result
+    keeps the partition and the label of `initial`. Never returns a state
+    worse than `initial`; a non-finite cost encountered during the search
+    sets `search_failure` and the best finite iterate is returned.
     """
     schedule = schedule or OptimizeSchedule()
     initial_cost = cost(model, psi, initial)
 
+    problem = _Problem(model, psi, initial, schedule)
     if schedule.block_size:
-        opt = _BlockOptimizer(model, psi, initial, schedule)
+        opt = _BlockOptimizer(model, problem, schedule)
         state, nfev = opt.run()
         failed = opt.failed
     else:
-        state, nfev, failed = _joint_search(model, psi, initial, schedule)
+        state, nfev, failed = _joint_search(problem, schedule)
 
     final_cost = cost(model, psi, state)
     if final_cost > initial_cost:

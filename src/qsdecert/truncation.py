@@ -244,13 +244,17 @@ def constants_for(model: SlhModel, alpha: complex, beta: complex) -> BoundConsta
 def interval_sum(c: BoundConstants, partition, r: int, s: int) -> float:
     """Sum of z_bound over a partition, in one z_bound call.
 
-    The partition is 1-d with at least two breakpoints; c's rates are shared
-    scalars (or one-entry columns) or per-interval columns. Anything else
-    raises PartitionError.
+    The partition obeys SimpleFunction's breakpoint rule: 1-d with at least
+    two breakpoints, the first 0, strictly increasing and finite. c's rates
+    are shared scalars (or one-entry columns) or per-interval columns.
+    Anything else raises PartitionError.
     """
     partition = np.asarray(partition, dtype=float)
-    if partition.ndim != 1 or partition.size < 2:
-        raise PartitionError(f"need a 1-d partition of >= 2 breakpoints, got {partition}")
+    if not (partition.ndim == 1 and partition.size >= 2 and partition[0] == 0.0
+            and np.all(np.diff(partition) > 0) and math.isfinite(partition[-1])):
+        raise PartitionError(
+            f"need a partition of >= 2 finite breakpoints from 0, strictly "
+            f"increasing, got {partition}")
     n_consts = max(np.size(v) for v in (c.gamma, c.qL, c.qa, c.qe))
     if n_consts not in (1, partition.size - 1):
         raise PartitionError(

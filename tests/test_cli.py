@@ -195,6 +195,20 @@ def test_bound_bad_partition_exits_cleanly(tmp_path, capsys):
         assert err.startswith("error:") and "--partition" in err, partition
 
 
+def test_bound_partition_follows_the_breakpoint_rule(tmp_path, capsys):
+    # These reported the sum over [1, 2] with "t": 2.0, certified a
+    # zero-length interval, and exited with "time must be finite and >= 0,
+    # got -1.0", naming a time the user never gave.
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"gamma": 1.0, "qL": 1.0, "qa": 1.0, "qe": 1.0}))
+    for partition in ("1,2", "0,1,1,2", "0,2,1"):
+        rc = main(["bound", "--constants", str(cfile), "--partition", partition])
+        assert rc == 1, partition
+        captured = capsys.readouterr()
+        assert captured.out == "", partition
+        assert captured.err.startswith("error:") and "partition" in captured.err, partition
+
+
 def test_bound_malformed_input_files_exit_cleanly(tmp_path, capsys):
     # Wrong key name in a constants file, a non-JSON file, a missing path and
     # a malformed level must all land on the single-line "error:" path, never a traceback.
@@ -296,6 +310,18 @@ def test_bound_bad_amplitudes_exit_cleanly(tmp_path, capsys):
     )
     assert rc == 1
     assert "amplitudes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitudes", ["nan,0", "0,infj"])
+def test_bound_non_finite_amplitudes_name_the_amplitudes(tmp_path, capsys, amplitudes):
+    # These exited with "gamma must be finite and > 0", a rate never given.
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(model_to_json(kerr_cavity(25.0, 50.0, -5.0 / 6.0, 3))))
+    rc = main(["bound", "--model", str(mfile), "--amplitudes", amplitudes,
+               "--partition", "0,1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --amplitudes") and "gamma" not in err
 
 
 def test_linalg_failure_exits_cleanly(monkeypatch, capsys):

@@ -38,8 +38,8 @@ from qsdecert.states import (
     XATOL,
     _BlockOptimizer,
     _expm2,
-    _joint_evaluator,
     _nelder_mead,
+    _Problem,
     _solve_coefficients,
 )
 
@@ -411,28 +411,48 @@ def test_optimize_never_worse_than_initial():
     assert res.cost <= cost(MODEL, psi, init) + 1e-15
 
 
-def test_block_mode_requires_shared_partition():
+# Both searches run on one _Problem and share its partition rule.
+MODES = pytest.mark.parametrize("block_size", [None, 2], ids=["joint", "block"])
+
+
+@MODES
+def test_block_mode_requires_shared_partition(block_size):
     f = SimpleFunction.constant([0.1], 1.0)
     g1 = SimpleFunction.constant([0.1], 1.0)
     g2 = SimpleFunction(np.array([0.0, 0.5, 1.0]), np.array([[0.1], [0.1]]))
     init = ApproxState([(_e(0), g1), (_e(1), g2)])
     with pytest.raises(PartitionError):
-        optimize(MODEL, (_e(0), f), init, OptimizeSchedule(block_size=1))
+        optimize(MODEL, (_e(0), f), init, OptimizeSchedule(block_size=block_size))
 
 
-def test_block_mode_rejects_drive_breakpoints_off_the_partition():
-    # f breaks at 0.3, inside the terms' interval [0.25, 0.5): the block
-    # search would read f at that interval's midpoint and minimize the
-    # residual of a different drive.
+@MODES
+def test_block_mode_rejects_drive_breakpoints_off_the_partition(block_size):
+    # f breaks at 0.3, inside the terms' interval [0.25, 0.5): the search
+    # would read f at that interval's midpoint and minimize the residual of
+    # a different drive.
     f = SimpleFunction(np.array([0.0, 0.3, 0.5]), np.array([[0.1], [0.3j]]))
     g = SimpleFunction(np.array([0.0, 0.25, 0.5]), np.array([[0.1], [0.1]]))
     init = ApproxState([(_e(0), g)])
     with pytest.raises(PartitionError):
-        optimize(MODEL, (_e(0), f), init, OptimizeSchedule(block_size=2))
+        optimize(MODEL, (_e(0), f), init, OptimizeSchedule(block_size=block_size))
     # The same drive breaking at 0.25 lies on the partition.
     f = SimpleFunction(g.breakpoints, f.values)
-    res = optimize(MODEL, (_e(0), f), init, OptimizeSchedule(block_size=2, max_iter=5))
+    res = optimize(MODEL, (_e(0), f), init,
+                   OptimizeSchedule(block_size=block_size, max_iter=5))
     assert res.cost <= cost(MODEL, (_e(0), f), init)
+
+
+@MODES
+def test_searches_keep_the_initial_label(block_size):
+    # The block search returned its state without a label, so ae-table rows
+    # read "5-term approximant" in place of the approximant's name.
+    f = SimpleFunction.constant([0.1], 0.5)
+    g = SimpleFunction(np.linspace(0.0, 0.5, 5), np.full((4, 1), 0.05 + 0.0j))
+    init = ApproxState([(_e(0), g)], label="seeded minimizer")
+    res = optimize(MODEL, (_e(0), f), init,
+                   OptimizeSchedule(block_size=block_size, max_iter=40))
+    assert res.cost < cost(MODEL, (_e(0), f), init)  # the search's own state
+    assert res.state.label == "seeded minimizer"
 
 
 def test_block_optimizer_descends():
@@ -491,29 +511,29 @@ def _two_term_problem():
     OptimizeSchedule(u_support=2),
 ])
 def test_joint_objective_matches_reference_cost(schedule):
+    # The two terms moved onto the union of the three partitions.
     psi, template = _two_term_problem()
-    evaluate = _joint_evaluator(MODEL, psi, template, schedule)
+    bps = np.array([0.0, 0.1, 0.2, 0.25, 0.4, 0.5])
+    template = ApproxState([(u, g.with_breakpoints(bps)) for u, g in template.terms])
+    problem = _Problem(MODEL, psi, template, schedule)
     rng = np.random.default_rng(5)
+    shape = problem.vals.shape
     for _ in range(4):
-        vals = [g.values + 0.1 * (rng.normal(size=g.values.shape)
-                                  + 1j * rng.normal(size=g.values.shape))
-                for _, g in template.terms]
-        value, us, failed = evaluate(vals)
+        vals = problem.vals + 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        value, us, failed = problem.evaluate(vals)
         assert not failed
-        state = ApproxState([
-            (uj, SimpleFunction(g.breakpoints, v))
-            for uj, v, (_, g) in zip(us, vals, template.terms)
-        ])
+        state = ApproxState([(uj, SimpleFunction(bps, v)) for uj, v in zip(us, vals)])
         assert value == pytest.approx(cost(MODEL, psi, state), rel=0.0, abs=1e-12)
 
 
-def test_joint_search_two_terms_on_different_partitions():
-    psi, template = _two_term_problem()
-    res = optimize(MODEL, psi, template, OptimizeSchedule(seed=4, max_iter=80))
-    assert res.cost < cost(MODEL, psi, template)
-    assert not res.search_failure
-    for (_, g), (_, g0) in zip(res.state.terms, template.terms):
-        np.testing.assert_array_equal(g.breakpoints, g0.breakpoints)
+def test_joint_search_rejects_terms_on_different_partitions():
+    # The joint search once refined every term onto a common partition; it
+    # now takes the block search's rule. f is constant, so only the terms'
+    # partitions differ.
+    (u, _), template = _two_term_problem()
+    psi = (u, SimpleFunction.constant([0.1], 0.5))
+    with pytest.raises(PartitionError):
+        optimize(MODEL, psi, template, OptimizeSchedule(seed=4, max_iter=80))
 
 
 @pytest.mark.parametrize("support", [None, 1])
@@ -536,7 +556,7 @@ def test_block_objective_matches_reference_cost(family, penalty, support):
 
     terms = [(draw(dim), SimpleFunction(bps, 0.1 * draw(6, 1))) for _ in range(3)]
     schedule = OptimizeSchedule(block_size=2, u_support=support, u_penalty=penalty)
-    opt = _BlockOptimizer(model, psi, ApproxState(terms), schedule)
+    opt = _BlockOptimizer(model, _Problem(model, psi, ApproxState(terms), schedule), schedule)
     opt._build_tail(2)
     opt._commit_block(0, 2)
     lo, hi = 2, 4
@@ -575,8 +595,9 @@ def test_block_tails_match_interval_products(family, P, bs):
 
     f = SimpleFunction(bps, 0.1 * draw(P, 1))
     terms = [(draw(dim), SimpleFunction(bps, 0.3 * draw(P, 1))) for _ in range(3)]
-    opt = _BlockOptimizer(model, (_e(0, dim), f), ApproxState(terms),
-                          OptimizeSchedule(block_size=bs))
+    schedule = OptimizeSchedule(block_size=bs)
+    opt = _BlockOptimizer(model, _Problem(model, (_e(0, dim), f), ApproxState(terms), schedule),
+                          schedule)
     opt._build_tail(bs)
     boundaries = [*range(bs, P, bs), P]
     assert sorted(opt.suffix) == sorted(opt.tail_gram) == boundaries

@@ -326,11 +326,20 @@ def test_z_bound_exact_zeros(inputs):
 def test_interval_sum_matches_summed_reference(n, r, s, data):
     rates = [(data.draw(GAMMAS), data.draw(QS), data.draw(QS), data.draw(QS))
              for _ in range(n)]
-    consts = BoundConstants(*np.array(rates).T)
     dts = data.draw(st.lists(TIMES, min_size=n, max_size=n))
     partition = np.concatenate([[0.0], np.cumsum(dts)])
     ref = sum(_z_reference(*rate, r, s, float(dt))
               for rate, dt in zip(rates, np.diff(partition)))
+    # SimpleFunction's breakpoint rule admits no zero-length interval. Each
+    # one adds 0 to ref, so the sum runs without them and their rates.
+    keep = np.diff(partition) > 0
+    if not keep.all():
+        with pytest.raises(PartitionError):
+            interval_sum(BoundConstants(*np.array(rates).T), partition, r, s)
+        if not keep.any():
+            return
+    consts = BoundConstants(*np.array(rates)[keep].T)
+    partition = np.concatenate([[0.0], partition[1:][keep]])
     assert interval_sum(consts, partition, r, s) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
@@ -518,6 +527,12 @@ def test_interval_sum():
     # A partition needs one axis and two breakpoints; these returned 0.0, 0.0
     # and 14.84.
     for bad in ([0.0], [], [[0.0, 1.0], [1.0, 2.0]]):
+        with pytest.raises(PartitionError):
+            interval_sum(KERR19, bad, 2, 2)
+    # SimpleFunction's breakpoint rule: the first is 0 and they strictly
+    # increase. These gave the sum over [1, 2] alone, a zero-length interval
+    # and an InvalidParameterError for the negative "time" -1.
+    for bad in ([1.0, 2.0], [0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0]):
         with pytest.raises(PartitionError):
             interval_sum(KERR19, bad, 2, 2)
 
