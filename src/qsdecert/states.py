@@ -17,11 +17,14 @@ Both searches (joint simplex, block sweep) run on one `_Problem`, frozen
 once per `optimize` call under one partition rule: the terms share one
 partition, and it holds every breakpoint of f, or PartitionError. The
 problem freezes the drive's dt-scaled `semigroup.affine_basis` on that
-partition, and `_chain_row`, the one chain through a slice of it, builds
-each candidate's generators from it: 2x2 models in Python scalar
-arithmetic, exponentiated by `_expm2`, the one 2x2 closed form; other
-dimensions contracted with `affine_coefficients` and passed to the dense
-`_expm`. `cost` stays on the reference `chain` path.
+partition, and `_chainer`, the one chain through a slice of it, prepares a
+row and a slice once and builds each candidate's generators from them: 2x2
+models in Python scalar arithmetic, exponentiated by `_expm2`, the one 2x2
+closed form; other dimensions contracted with `affine_coefficients` and
+passed to the dense `_expm`. Every candidate's system vectors come from
+`_solve_coefficients`, the one solve, and the searches' candidates run
+under an np.errstate that ignores floating-point flags. `cost` stays on
+the reference `chain` path.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy's private least-squares gufunc (LAPACK gelsd), loaded with numpy
+# itself: np.linalg.lstsq wraps it, and _solve_coefficients calls it. numpy
+# has it as one gufunc from 2.1 (before, lstsq_m and lstsq_n), hence the
+# numpy floor in pyproject.toml; an older numpy fails here, at import.
+from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from .errors import (
     InvalidApproximantError,
@@ -314,40 +322,53 @@ def _solve_coefficients(kappa, qs, us, support, penalty):
     coefficients an ill-conditioned exact solve produces. The returned cost
     is the true residual at the damped solution, not the penalized value.
     Non-finite input or cost returns SEARCH_PENALTY with us unchanged and
-    failed set.
+    failed set. Non-finite input never reaches LAPACK, whose gelsd can fail
+    to return on a NaN matrix.
+
+    The solve calls numpy's least-squares gufunc once, with the rcond and
+    signature np.linalg.lstsq passes it, so the solution is lstsq's bit for
+    bit without the wrapper's checks, copies and np.errstate. An SVD that
+    fails to converge leaves a NaN solution, whose cost is SEARCH_PENALTY
+    like any other non-finite cost; it raises the invalid flag, which the
+    searches' candidates run with ignored and a committed solve (the block
+    search's _resolve) reports as a RuntimeWarning. With support == d nothing
+    is frozen, and the solution is returned as the gufunc left it.
     """
     s = support
-    ws = np.sqrt(np.maximum(kappa.diagonal().real, 0.0))
     qs = np.asarray(qs)
+    L, d = qs.shape
+    diag = kappa.diagonal().real
+    ws = np.sqrt(np.maximum(diag, 0.0))
     b = ws[:, None] * qs[:, :s]
-    solved = np.array(us, dtype=complex)
-    L, d = solved.shape
     if not (np.isfinite(kappa).all() and np.isfinite(b).all()
             and (s == d or np.isfinite(qs).all())):
         return SEARCH_PENALTY, us, True
     c0 = 1.0
     if s < d:
         # b holds the rows' support columns; their tails enter only here.
+        solved = np.array(us, dtype=complex)
         tails = solved[:, s:]
         c0 += float(np.sum(kappa * (tails.conj() @ tails.T)).real)
         c0 -= 2.0 * float(np.dot(ws, np.sum(qs[:, s:] * tails, axis=1).real))
 
-    v = np.conj(b)
+    v = b.conj()
     rcond = _EPS * L * s
     if penalty > 0.0:
         damped = kappa.copy()
-        damped.flat[::L + 1] += penalty * kappa.diagonal().real
-        cstar = np.linalg.lstsq(damped, v, rcond=rcond)[0]
+        damped.flat[::L + 1] += penalty * diag
+        cstar = _lstsq_gufunc(damped, v, rcond, signature="DDd->Ddid")[0]
         value = c0 - 2.0 * float(np.vdot(v, cstar).real) + float(
             np.vdot(cstar, kappa @ cstar).real
         )
     else:
-        cstar = np.linalg.lstsq(kappa, v, rcond=rcond)[0]
+        cstar = _lstsq_gufunc(kappa, v, rcond, signature="DDd->Ddid")[0]
         value = c0 - float(np.vdot(v, cstar).real)
-    solved[:, :s] = cstar
     value = math.sqrt(max(value, 0.0))
     if not math.isfinite(value):
         return SEARCH_PENALTY, us, True
+    if s == d:
+        return value, cstar, False
+    solved[:, :s] = cstar
     return value, solved, False
 
 
@@ -371,9 +392,12 @@ def _generators2(slices, betas) -> list:
     return out
 
 
-def _chain_row(row, basis, betas) -> np.ndarray:
-    """row T^(0) ... T^(P-1) over the intervals of a dt-scaled basis slice,
-    for one row or a stack of rows (a matrix, whose product it returns).
+def _chainer(rows, basis):
+    """betas -> rows T^(0) ... T^(P-1) over the intervals of a dt-scaled
+    basis slice, for the (P, m) amplitude values betas and one row or a
+    stack of rows (a matrix, whose product it returns). What does not
+    depend on the values is prepared once, so a search candidate pays only
+    for its own.
 
     A 2x2 model's exponentials come from _generators2 and _expm2 once per
     call, and each row goes through them in Python complex arithmetic: a
@@ -381,18 +405,28 @@ def _chain_row(row, basis, betas) -> np.ndarray:
     would dominate. Other dimensions contract the basis with
     affine_coefficients and take dense exponentials.
     """
-    if row.shape[-1] == 2:
-        slices = basis.reshape(len(basis), -1, 4).tolist()
-        Ts = _expm2(_generators2(slices, np.asarray(betas).tolist()))
+    if rows.shape[-1] != 2:
+        def chain(betas):
+            out = rows
+            for M in np.einsum("pk,pkij->pij", affine_coefficients(betas), basis):
+                out = out @ _expm(M)
+            return out
+
+        return chain
+    slices = basis.reshape(len(basis), -1, 4).tolist()
+    stack = rows.ndim == 2
+    start = rows.tolist() if stack else [rows.tolist()]
+
+    def chain(betas):
+        Ts = _expm2(_generators2(slices, betas.tolist()))
         out = []
-        for r0, r1 in row.tolist() if row.ndim == 2 else [row.tolist()]:
+        for r0, r1 in start:
             for t00, t01, t10, t11 in Ts:
                 r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t11
             out.append((r0, r1))
-        return np.array(out if row.ndim == 2 else out[0])
-    for M in np.einsum("pk,pkij->pij", affine_coefficients(betas), basis):
-        row = row @ _expm(M)
-    return row
+        return np.array(out if stack else out[0])
+
+    return chain
 
 
 def _gram(dts, vals) -> np.ndarray:
@@ -444,13 +478,13 @@ class _Problem:
         self.label = initial.label
         for a in (self.basis, self.row, self.us, self.vals):
             a.setflags(write=False)
+        self.chain = _chainer(self.row, self.basis)
 
     def evaluate(self, vals):
         """(cost, solved u array, failed) for (L, P, m) amplitude values, the
         frozen system vectors supplying the tails beyond the support."""
-        with np.errstate(over="ignore"):
-            kappa = np.exp(_gram(self.dts, vals))
-        qs = [_chain_row(self.row, self.basis, v) for v in vals]
+        kappa = np.exp(_gram(self.dts, vals))
+        qs = [self.chain(v) for v in vals]
         return _solve_coefficients(kappa, qs, self.us, self.support, self.penalty)
 
     def state(self, us, vals) -> ApproxState:
@@ -472,8 +506,9 @@ def _nelder_mead(objective, x0, maxiter: int, adaptive: bool):
     bounds, callback, maxfev or initial simplex. It drops scipy's minimize
     front end, its call-counting wrapper and the result record it builds per
     iteration, and the import of scipy.optimize, which adds about 19 MB to a
-    process. The ordering keeps scipy's np.argsort and np.take, twice after
-    the first simplex as scipy does: argsort is not stable on ties.
+    process. The ordering keeps scipy's argsort and take, as ndarray methods
+    and twice after the first simplex as scipy does: argsort is not stable
+    on ties.
     test_nelder_mead_matches_scipy pins x, fun and nfev bit for bit against
     scipy.optimize.minimize. objective must not modify its argument.
     """
@@ -492,14 +527,14 @@ def _nelder_mead(objective, x0, maxiter: int, adaptive: bool):
     fsim = np.array([objective(x) for x in sim], dtype=float)
     nfev = N + 1
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+        if (abs(sim[1:] - sim[0]).max() <= XATOL and
+                abs(fsim[0] - fsim[1:]).max() <= FATOL):
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + rho) * xbar - rho * sim[-1]
@@ -535,10 +570,10 @@ def _nelder_mead(objective, x0, maxiter: int, adaptive: bool):
             else:
                 sim[-1], fsim[-1] = xc, fxc
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nfev
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+    return sim[0], fsim.min(), nfev
 
 
 def __getattr__(name):
@@ -567,17 +602,20 @@ def _joint_search(problem: _Problem, schedule: OptimizeSchedule):
         return value
 
     rng = np.random.default_rng(schedule.seed)
-    best_x, best_val = x0, objective(x0)
-    nfev = 1
     maxiter = schedule.max_iter or 400 * x0.size
-    for trial in range(RESTARTS):
-        start = x0 if trial == 0 else best_x + RESTART_SCALE * rng.standard_normal(x0.size)
-        x, fun, n = _nelder_mead(objective, start, maxiter, x0.size > 12)
-        nfev += n
-        if fun < best_val:
-            best_val, best_x = fun, x
-    vals = _join(best_x, shape)
-    _, us, bad = problem.evaluate(vals)
+    # Every evaluation here is a candidate, the last one the best again: an
+    # overflow or a failed solve is its SEARCH_PENALTY cost and sets failed.
+    with np.errstate(all="ignore"):
+        best_x, best_val = x0, objective(x0)
+        nfev = 1
+        for trial in range(RESTARTS):
+            start = x0 if trial == 0 else best_x + RESTART_SCALE * rng.standard_normal(x0.size)
+            x, fun, n = _nelder_mead(objective, start, maxiter, x0.size > 12)
+            nfev += n
+            if fun < best_val:
+                best_val, best_x = fun, x
+        vals = _join(best_x, shape)
+        _, us, bad = problem.evaluate(vals)
     return problem.state(us, vals), nfev, failed or bad
 
 
@@ -595,7 +633,7 @@ class _BlockOptimizer:
     own sweep). Gram data (amplitude L2 inner products) is kept as committed
     prefixes, block contributions and tail sums at the same boundaries. A
     candidate for term j therefore costs L exponentials for column j of the
-    Gram matrix, term j's row through the block's intervals (see _chain_row)
+    Gram matrix, term j's row through the block's intervals (see _chainer)
     and one coefficient solve of which only the cost is kept (see
     _term_objective). After every block the system vectors are re-solved
     exactly from the Gram system.
@@ -632,7 +670,7 @@ class _BlockOptimizer:
         for lo in reversed(range(bs, self.P, bs)):
             hi = min(lo + bs, self.P)
             self.suffix[lo] = np.array([
-                _chain_row(eye, self.basis[lo:hi], self.vals[i, lo:hi]) @ self.suffix[hi][i]
+                _chainer(eye, self.basis[lo:hi])(self.vals[i, lo:hi]) @ self.suffix[hi][i]
                 for i in range(self.L)
             ])
             self.tail_gram[lo] = self._gram(lo, hi) + self.tail_gram[hi]
@@ -642,7 +680,7 @@ class _BlockOptimizer:
 
     def _block_q(self, lo: int, hi: int, i: int) -> np.ndarray:
         """Term i's chain row u^dag T^(0) ... T^(P-1) at its current values."""
-        row = _chain_row(self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi])
+        row = _chainer(self.rows[i], self.basis[lo:hi])(self.vals[i, lo:hi])
         return row @ self.suffix[hi][i]
 
     def _term_objective(self, lo: int, hi: int, j: int, qs: np.ndarray):
@@ -655,20 +693,21 @@ class _BlockOptimizer:
         row through the block (in scalar arithmetic for 2x2 models) and
         solves for the system vectors, keeping only the cost. Evaluations
         count into nfev, non-finite costs into failed; the search runs them
-        under np.errstate(over="ignore"), since an overflowing Gram column is
-        one such cost, not an error.
+        under _sweep_block's np.errstate, since an overflowing Gram column is
+        one such cost, not an error. Term j's committed row and the block's
+        basis slice are prepared once for the term (see _chainer); the row
+        still meets the suffix product through numpy's matrix product.
         """
         base = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
-        with np.errstate(over="ignore"):
-            kappa = np.exp(base)
+        kappa = np.exp(base)
         # Column j of the exponent is col_rest + weights @ beta, where row j
         # of weights, dt conj(beta), is the candidate's own.
         dts = np.repeat(self.dts[lo:hi], self.m)
         weights = dts * np.conj(self.vals[:, lo:hi].reshape(self.L, -1))
         col_rest = base[:, j] - weights @ self.vals[j, lo:hi].ravel()
         qs = qs.copy()
-        basis, row, suffix = self.basis[lo:hi], self.rows[j], self.suffix[hi][j]
-        penalty = self.penalty
+        chain = _chainer(self.rows[j], self.basis[lo:hi])
+        suffix, us, support, penalty = self.suffix[hi][j], self.us, self.support, self.penalty
 
         def evaluate(beta):
             self.nfev += 1
@@ -677,8 +716,8 @@ class _BlockOptimizer:
             col = np.exp(col_rest + weights @ flat)
             kappa[:, j] = col
             kappa[j] = np.conj(col)
-            qs[j] = _chain_row(row, basis, beta) @ suffix
-            value, _, failed = _solve_coefficients(kappa, qs, self.us, self.support, penalty)
+            qs[j] = chain(beta) @ suffix
+            value, _, failed = _solve_coefficients(kappa, qs, us, support, penalty)
             self.failed |= failed
             return value
 
@@ -689,9 +728,9 @@ class _BlockOptimizer:
         shape = (hi - lo, self.m)
         qs = np.array([self._block_q(lo, hi, i) for i in range(self.L)])
         for j in range(self.L):
-            evaluate = self._term_objective(lo, hi, j, qs)
             x0 = _split(self.vals[j, lo:hi])
-            with np.errstate(over="ignore"):
+            with np.errstate(all="ignore"):
+                evaluate = self._term_objective(lo, hi, j, qs)
                 x, _, _ = _nelder_mead(lambda x: evaluate(_join(x, shape)),
                                        x0, self.schedule.max_iter or 120 * x0.size, True)
             self.vals[j, lo:hi] = _join(x, shape)
@@ -708,9 +747,7 @@ class _BlockOptimizer:
 
     def _commit_block(self, lo, hi):
         for i in range(self.L):
-            self.rows[i] = _chain_row(
-                self.rows[i], self.basis[lo:hi], self.vals[i, lo:hi]
-            )
+            self.rows[i] = _chainer(self.rows[i], self.basis[lo:hi])(self.vals[i, lo:hi])
         self.g_inner = self.g_inner + self._gram(lo, hi)
 
     def run(self):

@@ -345,6 +345,27 @@ def test_ae_certificate_table_small_run():
     assert again[0].bound == reports[0].bound
 
 
+@pytest.mark.parametrize("n_intervals, blocks, cost, nfev, bounds", [
+    (4, 1, 0.0016581210889993593, 8608,
+     [0.018447336702168814, 0.0066278306484582414, 0.003780281719037307,
+      0.003365526549048853, 0.0033212035258410742]),
+    (6, 2, 0.004604376959721853, 13029, None),
+])
+def test_ae_search_paths_are_pinned(n_intervals, blocks, cost, nfev, bounds):
+    # The block search's path, bit for bit: the 4-interval pipeline is the
+    # benchmark's ae-search item, the 6-interval one commits a block before
+    # searching the next. A rounding-level change to the candidate solve or
+    # chain sends Nelder-Mead down another path, which shows here first.
+    reports, result = ae_certificate_table(
+        () if bounds is None else (10**4, 10**5, 10**6, 10**7, 10**8),
+        n_intervals=n_intervals, blocks=blocks)
+    assert result.cost == cost
+    assert result.nfev == nfev
+    assert not result.search_failure
+    if bounds is not None:
+        assert [r.bound for r in reports] == bounds
+
+
 def test_ae_certificate_table_pooled_rows_equal_serial():
     # the k-independent parts are computed once, before the pool maps the ks
     rng = np.random.default_rng(3)

@@ -31,6 +31,7 @@ from qsdecert import (
     residual_norm,
     theorem_bound,
 )
+from qsdecert import states
 from qsdecert.adiabatic import COEFF_DAMPING
 from qsdecert.states import (
     FATOL,
@@ -345,6 +346,70 @@ def test_solve_coefficients_exact_and_damped():
     assert bad_cost == SEARCH_PENALTY and failed
 
 
+def _lstsq_solve_reference(kappa, qs, us, s, penalty):
+    """_solve_coefficients written on np.linalg.lstsq, step for step."""
+    ws = np.sqrt(np.maximum(kappa.diagonal().real, 0.0))
+    qs = np.asarray(qs)
+    b = ws[:, None] * qs[:, :s]
+    solved = np.array(us, dtype=complex)
+    L, d = solved.shape
+    if not (np.isfinite(kappa).all() and np.isfinite(b).all()
+            and (s == d or np.isfinite(qs).all())):
+        return SEARCH_PENALTY, us, True
+    c0 = 1.0
+    if s < d:
+        tails = solved[:, s:]
+        c0 += float(np.sum(kappa * (tails.conj() @ tails.T)).real)
+        c0 -= 2.0 * float(np.dot(ws, np.sum(qs[:, s:] * tails, axis=1).real))
+    v = np.conj(b)
+    rcond = np.finfo(float).eps * L * s
+    if penalty > 0.0:
+        damped = kappa.copy()
+        damped.flat[::L + 1] += penalty * kappa.diagonal().real
+        cstar = np.linalg.lstsq(damped, v, rcond=rcond)[0]
+        value = c0 - 2.0 * float(np.vdot(v, cstar).real) + float(
+            np.vdot(cstar, kappa @ cstar).real)
+    else:
+        cstar = np.linalg.lstsq(kappa, v, rcond=rcond)[0]
+        value = c0 - float(np.vdot(v, cstar).real)
+    solved[:, :s] = cstar
+    value = math.sqrt(max(value, 0.0))
+    if not math.isfinite(value):
+        return SEARCH_PENALTY, us, True
+    return value, solved, False
+
+
+@pytest.mark.parametrize("case", ["damped-5x5", "rank-deficient", "kerr-shape", "nan"])
+def test_solve_coefficients_matches_lstsq_bit_for_bit(case):
+    # The solve calls numpy's least-squares gufunc without np.linalg.lstsq's
+    # wrapper. Its cost and solution must be the wrapper's, bit for bit, or
+    # the searches' paths move; a NaN system never reaches LAPACK and warns
+    # nothing, inside a search's np.errstate or outside it.
+    rng = np.random.default_rng(22)
+    L, d, s, penalty = {"damped-5x5": (5, 2, 2, COEFF_DAMPING),
+                        "rank-deficient": (3, 2, 2, 0.0),
+                        "kerr-shape": (1, 20, 3, 0.0),
+                        "nan": (5, 2, 2, COEFF_DAMPING)}[case]
+    g = 0.3 * (rng.normal(size=(L, 4)) + 1j * rng.normal(size=(L, 4)))
+    if case == "rank-deficient":
+        g[1] = g[0]  # two equal amplitudes: kappa has two equal rows
+    kappa = np.exp(g.conj() @ g.T)
+    if case == "nan":
+        kappa[2, 3] = np.nan
+    qs = rng.normal(size=(L, d)) + 1j * rng.normal(size=(L, d))
+    us = rng.normal(size=(L, d)) + 1j * rng.normal(size=(L, d))
+    ref_value, ref_solved, ref_failed = _lstsq_solve_reference(kappa, qs, us, s, penalty)
+    for flags in ({}, {"all": "ignore"}):
+        with warnings.catch_warnings(), np.errstate(**flags):
+            warnings.simplefilter("error")
+            value, solved, failed = _solve_coefficients(kappa, qs, us, s, penalty)
+        assert (value, failed) == (ref_value, ref_failed)
+        assert solved.shape == (L, d) and np.array_equal(solved, ref_solved)
+    if case == "rank-deficient":
+        assert np.linalg.matrix_rank(kappa) == 2
+    assert failed == (case == "nan") and (value == SEARCH_PENALTY) == failed
+
+
 def test_optimize_descends_and_is_deterministic():
     f = SimpleFunction.constant([0.1], 0.5)
     psi = (_e(0), f)
@@ -453,6 +518,36 @@ def test_searches_keep_the_initial_label(block_size):
                    OptimizeSchedule(block_size=block_size, max_iter=40))
     assert res.cost < cost(MODEL, (_e(0), f), init)  # the search's own state
     assert res.state.label == "seeded minimizer"
+
+
+@MODES
+def test_only_candidates_run_with_flags_ignored(monkeypatch, block_size):
+    # A candidate whose Gram column overflows or whose solve fails is one
+    # SEARCH_PENALTY cost, so the simplex runs with numpy's floating-point
+    # flags ignored. The steps that commit a result (the block search's
+    # re-solve and block commit, the state builder) keep the caller's flags:
+    # a fault there is no candidate's, and must show.
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, set()).add(np.geterr()["invalid"])
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(states, "_nelder_mead", spy("simplex", _nelder_mead))
+    monkeypatch.setattr(_Problem, "state", spy("state", _Problem.state))
+    for name in ("_resolve", "_commit_block"):
+        monkeypatch.setattr(_BlockOptimizer, name, spy(name, getattr(_BlockOptimizer, name)))
+    f = SimpleFunction.constant([0.1], 0.5)
+    g = SimpleFunction(np.linspace(0.0, 0.5, 5), np.full((4, 1), 0.05 + 0.0j))
+    init = ApproxState([(_e(0), g), (_e(1), g)])
+    with np.errstate(invalid="raise", divide="raise"):
+        optimize(MODEL, (_e(0), f), init,
+                 OptimizeSchedule(block_size=block_size, max_iter=20))
+    assert seen.pop("simplex") == {"ignore"}
+    committed = {"state"} | ({"_resolve", "_commit_block"} if block_size else set())
+    assert seen == {name: {"raise"} for name in committed}
 
 
 def test_block_optimizer_descends():

@@ -1,9 +1,11 @@
 """The benchmark's tracer and workloads, and every module's __all__, name
 program objects that exist; the searches reach the tracer's exponential
-layers; scipy's expm has only its known callers; the library raises only its
-own errors and has no assert; no library module imports another's private
-names beyond two known helpers or imports scipy.optimize; scipy loads only
-in the commands that call it, and scipy.optimize in none."""
+layers and solve every candidate through its solve layer; scipy's expm has
+only its known callers; only states reaches numpy's private lstsq gufunc;
+the library raises only its own errors and has no assert; no library module
+imports another's private names beyond two known helpers or imports
+scipy.optimize; scipy loads only in the commands that call it, and
+scipy.optimize in none."""
 
 import ast
 import importlib
@@ -87,23 +89,51 @@ def _counted(monkeypatch, module, names):
     return counts
 
 
+def _block_search():
+    """A small 2x2 block search: two terms on 4 intervals in blocks of 2."""
+    model = qsdecert.limit_coefficients(qsdecert.atom_cavity_ae(25.0, 5.0, 0.1))
+    u0 = np.array([0.0, 1.0], dtype=complex)
+    f = qsdecert.SimpleFunction.constant([0.1], 1.0)
+    g = qsdecert.SimpleFunction(np.linspace(0.0, 1.0, 5), np.full((4, 1), 0.1))
+    initial = qsdecert.ApproxState([(u0, g), (u0, g)])
+    return qsdecert.optimize(model, (u0, f), initial,
+                             qsdecert.OptimizeSchedule(block_size=2, max_iter=20))
+
+
 def test_searches_reach_the_traced_exponentials(monkeypatch):
     # perfbench/tracing.py's states.expm2 and states.expm_dense layers wrap
     # states._expm2 and states._expm: the 2x2 block search must take only the
     # first, the Kerr search (dimension k + 1 > 2) only the second.
     states = importlib.import_module("qsdecert.states")
     counts = _counted(monkeypatch, states, ("_expm2", "_expm"))
-    model = qsdecert.limit_coefficients(qsdecert.atom_cavity_ae(25.0, 5.0, 0.1))
-    u0 = np.array([0.0, 1.0], dtype=complex)
-    f = qsdecert.SimpleFunction.constant([0.1], 1.0)
-    g = qsdecert.SimpleFunction(np.linspace(0.0, 1.0, 5), np.full((4, 1), 0.1))
-    initial = qsdecert.ApproxState([(u0, g), (u0, g)])
-    qsdecert.optimize(model, (u0, f), initial,
-                      qsdecert.OptimizeSchedule(block_size=2, max_iter=20))
+    _block_search()
     assert counts["_expm2"] > 0 and counts["_expm"] == 0
     counts.update(_expm2=0, _expm=0)
     qsdecert.kerr_search(2, t_final=0.5)
     assert counts["_expm"] > 0 and counts["_expm2"] == 0
+
+
+def test_searches_reach_the_traced_solve(monkeypatch):
+    # perfbench/tracing.py's states.solve layer wraps
+    # states._solve_coefficients: both searches must solve every candidate
+    # through it, so the layer counts at least nfev calls.
+    states = importlib.import_module("qsdecert.states")
+    counts = _counted(monkeypatch, states, ("_solve_coefficients",))
+    result = _block_search()
+    assert counts["_solve_coefficients"] >= result.nfev > 0
+    counts["_solve_coefficients"] = 0
+    result = qsdecert.kerr_search(2, t_final=0.5)
+    assert counts["_solve_coefficients"] >= result.nfev > 0
+
+
+def test_only_states_reaches_the_lstsq_gufunc():
+    # states._solve_coefficients calls numpy's private least-squares gufunc,
+    # which test_solve_coefficients_matches_lstsq_bit_for_bit pins against
+    # np.linalg.lstsq; no other module may come to depend on that name.
+    src = Path(qsdecert.__file__).resolve().parent
+    users = [path.name for path in sorted(src.glob("*.py"))
+             if "_umath_linalg" in path.read_text()]
+    assert users == ["states.py"]
 
 
 def test_every_exported_name_resolves():
