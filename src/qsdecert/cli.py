@@ -81,11 +81,14 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(payload) -> str:
+    """Every command's JSON output: indented, keys sorted, one final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _render_reports(reports, fmt: str, extra: dict | None = None) -> str:
     if fmt == "json":
-        payload = {"rows": [r.to_json() for r in reports]}
-        payload.update(extra or {})
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text({"rows": [r.to_json() for r in reports], **(extra or {})})
     with_scaling = any(r.k_scaling is not None for r in reports)
     header = CSV_HEADER + (",k_scaling" if with_scaling else "")
     lines = [header]
@@ -208,7 +211,7 @@ def cmd_bound(parser, args) -> int:
         _reject(parser, args, "builtin kerr evaluation", ("partition", "amplitudes"))
         report = kerr_table_row(args.k, r=args.r, s=args.s,
                                 **_given(alpha=args.alpha, n_intervals=args.intervals))
-        _emit(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_text(report.to_json()), args.out)
         return 0
 
     if args.constants is not None:
@@ -251,7 +254,7 @@ def cmd_bound(parser, args) -> int:
         partition=partition,
         psi_desc="rate-sum evaluation (no approximant)",
     )
-    _emit(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json_text(report.to_json()), args.out)
     return 0
 
 
@@ -272,13 +275,13 @@ def cmd_optimize(parser, args) -> int:
         "search_failure": result.search_failure,
         "state": result.state.to_json(),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
 def cmd_verify(parser, args) -> int:
     report = run_suite(quick=args.quick, **_given(seed=args.seed))
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json_text(report), args.out)
     return 0 if report["passed"] else 1
 
 

@@ -5,7 +5,8 @@ so callers can catch library errors without masking programming errors.
 Whether an input is valid is decided here alone: a count (level, order,
 number of intervals) by as_level, a time by as_times or as_nonnegative, a
 rate or coupling by as_nonnegative or, for a record's fields, check_rates,
-and a vector of channel amplitudes (or one drive amplitude) by as_amplitudes.
+a vector of channel amplitudes (or one drive amplitude) by as_amplitudes,
+and a random seed by as_seed.
 """
 
 import math
@@ -95,6 +96,14 @@ def as_level(value, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InvalidParameterError(f"{what} must be a finite integer >= 1, got {value!r}")
+
+
+def as_seed(value) -> int:
+    """A random seed as an int: a Python or numpy integer >= 0, as
+    np.random.default_rng takes it."""
+    if isinstance(value, (int, np.integer)) and value >= 0:
+        return int(value)
+    raise InvalidParameterError(f"seed must be an integer >= 0, got {value!r}")
 
 
 def as_nonnegative(value, what: str, positive: bool = False) -> float:

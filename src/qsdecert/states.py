@@ -46,6 +46,7 @@ from .errors import (
     PartitionError,
     as_level,
     as_nonnegative,
+    as_seed,
 )
 from .models import SlhModel, decode_vector, encode_vector
 from .semigroup import (
@@ -234,10 +235,10 @@ class OptimizeSchedule:
     coefficients -- the exact minimizer of an ill-conditioned Gram system
     cancels huge terms against each other, which is poison for certificates
     whose rate sums are weighted by sum_j ||u_j||. The reported cost is
-    always the true undamped residual. seed draws the joint search's restart
-    points; the tolerances and restarts are the constants FATOL, XATOL,
-    RESTARTS and RESTART_SCALE. max_iter, u_support and block_size, when
-    set, are counts (errors.as_level) and u_penalty a rate
+    always the true undamped residual. seed (errors.as_seed) draws the joint
+    search's restart points; the tolerances and restarts are the constants
+    FATOL, XATOL, RESTARTS and RESTART_SCALE. max_iter, u_support and
+    block_size, when set, are counts (errors.as_level) and u_penalty a rate
     (errors.as_nonnegative); anything else raises InvalidParameterError.
     """
 
@@ -248,6 +249,7 @@ class OptimizeSchedule:
     u_penalty: float = 0.0
 
     def __post_init__(self):
+        self.seed = as_seed(self.seed)
         for name in ("max_iter", "u_support", "block_size"):
             if getattr(self, name) is not None:
                 setattr(self, name, as_level(getattr(self, name), name))
@@ -331,7 +333,7 @@ def _solve_coefficients(kappa, qs, us, support, penalty):
     fails to converge leaves a NaN solution, whose cost is SEARCH_PENALTY
     like any other non-finite cost; it raises the invalid flag, which the
     searches' candidates run with ignored and a committed solve (the block
-    search's _resolve) reports as a RuntimeWarning. With support == d nothing
+    search's re-solve) reports as a RuntimeWarning. With support == d nothing
     is frozen, and the solution is returned as the gufunc left it.
     """
     s = support
@@ -619,145 +621,112 @@ def _joint_search(problem: _Problem, schedule: OptimizeSchedule):
     return problem.state(us, vals), nfev, failed or bad
 
 
-class _BlockOptimizer:
+def _tails(problem: _Problem, vals, bs: int):
+    """(suffix, tail_gram) at the right end hi of each of the block search's
+    blocks of bs intervals for (L, P, m) values vals: suffix[hi] stacks the
+    terms' products T^(hi) ... T^(P-1) as (L, d, d), tail_gram[hi] is the
+    Gram sum over [hi, P). Built right to left, block by block."""
+    P, L = len(problem.dts), len(vals)
+    eye = np.eye(len(problem.row), dtype=complex)
+    suffix = {P: np.array([eye] * L)}
+    tail_gram = {P: np.zeros((L, L), dtype=complex)}
+    for lo in reversed(range(bs, P, bs)):
+        hi = min(lo + bs, P)
+        suffix[lo] = np.array([
+            _chainer(eye, problem.basis[lo:hi])(vals[i, lo:hi]) @ suffix[hi][i]
+            for i in range(L)
+        ])
+        tail_gram[lo] = _gram(problem.dts[lo:hi], vals[:, lo:hi]) + tail_gram[hi]
+    return suffix, tail_gram
+
+
+def _block_objective(problem: _Problem, vals, us, qs, row, suffix, outer, lo, hi, j):
+    """evaluate(beta) -> (cost, solved u array, failed) with term j's values
+    on block [lo, hi) set to the (hi - lo, m) array beta, the rest as in vals;
+    row is term j's committed row u^dag T^(0) ... T^(lo-1), suffix its
+    product over [hi, P), qs the terms' current chain rows and outer the Gram
+    sum outside the block. The context holds the exponentials of every Gram
+    entry outside row and column j, so a candidate exponentiates only column
+    j (row j is its conjugate), chains term j's row through the block (see
+    _chainer) and solves for the system vectors. An overflowing column is one
+    non-finite cost, so the search runs this with flags ignored.
+    """
+    base = outer + _gram(problem.dts[lo:hi], vals[:, lo:hi])
+    kappa = np.exp(base)
+    # Column j of the exponent is col_rest + weights @ beta, where row j
+    # of weights, dt conj(beta), is the candidate's own.
+    L, _, m = vals.shape
+    dts = np.repeat(problem.dts[lo:hi], m)
+    weights = dts * np.conj(vals[:, lo:hi].reshape(L, -1))
+    col_rest = base[:, j] - weights @ vals[j, lo:hi].ravel()
+    qs = qs.copy()
+    chain = _chainer(row, problem.basis[lo:hi])
+    support, penalty = problem.support, problem.penalty
+
+    def evaluate(beta):
+        flat = beta.ravel()
+        weights[j] = dts * np.conj(flat)
+        col = np.exp(col_rest + weights @ flat)
+        kappa[:, j] = col
+        kappa[j] = np.conj(col)
+        qs[j] = chain(beta) @ suffix
+        return _solve_coefficients(kappa, qs, us, support, penalty)
+
+    return evaluate
+
+
+def _block_search(problem: _Problem, schedule: OptimizeSchedule):
     """Sequential block-coordinate descent for many-interval amplitudes.
 
-    The terms share the problem's partition. Blocks are swept left to right,
-    each sweep minimizing the FULL-horizon cost over one block of one term's
-    amplitude values while everything else stays fixed, so the final-time
-    objective decreases monotonically. The chain overlap for term j is
-    u^dag T^(0) ... T^(P-1) u_j; the row u^dag T^(0) ... T^(committed-1) is
-    cached per term and the unswept tail enters through per-term suffix
-    products T^(hi) ... T^(P-1), kept only at block boundaries hi (valid for
-    a whole pass, since later blocks keep their current values until their
-    own sweep). Gram data (amplitude L2 inner products) is kept as committed
-    prefixes, block contributions and tail sums at the same boundaries. A
-    candidate for term j therefore costs L exponentials for column j of the
-    Gram matrix, term j's row through the block's intervals (see _chainer)
-    and one coefficient solve of which only the cost is kept (see
-    _term_objective). After every block the system vectors are re-solved
-    exactly from the Gram system.
+    Blocks of schedule.block_size intervals are swept left to right, each
+    sweep minimizing the FULL-horizon cost over one block of one term's
+    values while everything else stays fixed, so the cost decreases
+    monotonically. Term j's chain row u^dag T^(0) ... T^(P-1) is its
+    committed row, chained through the block, times its suffix product from
+    _tails (valid for a whole pass: later blocks keep their values until
+    their own sweep); the Gram matrix is likewise a committed, a block and a
+    tail sum. The row a term's search ends on becomes its committed row, and
+    after every block the system vectors are re-solved exactly. Returns
+    (state, nfev, failed) like _joint_search.
     """
+    bs = schedule.block_size
+    us, vals = problem.us, problem.vals.copy()
+    L, P, m = vals.shape
+    suffix, tail_gram = _tails(problem, vals, bs)
+    rows = [problem.row] * L
+    g_inner = np.zeros((L, L), dtype=complex)
+    nfev, failed = 0, False
 
-    def __init__(self, model, problem: _Problem, schedule: OptimizeSchedule):
-        self.problem = problem
-        self.schedule = schedule
-        self.nfev = 0
-        self.failed = False
-        self.dts, self.basis = problem.dts, problem.basis
-        self.P = len(self.dts)
-        self.m = model.m
-        self.dim = model.dim
-        self.support, self.penalty = problem.support, problem.penalty
-        self.us = problem.us.copy()
-        self.vals = problem.vals.copy()
-        self.L = len(self.us)
-        # Committed prefixes (over intervals [0, committed)).
-        self.rows = [problem.row.copy() for _ in range(self.L)]
-        self.g_inner = np.zeros((self.L, self.L), dtype=complex)
-        # Tail data per block boundary (suffix chain products and Gram sums),
-        # built once per pass from the values the unswept blocks carry.
-        self.suffix = None
-        self.tail_gram = None
+    def objective(x):
+        # evaluate and shape are the current term's and block's, set below.
+        nonlocal failed
+        value, _, bad = evaluate(_join(x, shape))
+        failed |= bad
+        return value
 
-    def _build_tail(self, bs: int):
-        """Tail data at the right end hi of each of run()'s blocks of bs
-        intervals: per-term suffix products T^(hi) ... T^(P-1) as (L, d, d)
-        and Gram sums over [hi, P), built right to left block by block."""
-        eye = np.eye(self.dim, dtype=complex)
-        self.suffix = {self.P: np.array([eye] * self.L)}
-        self.tail_gram = {self.P: np.zeros((self.L, self.L), dtype=complex)}
-        for lo in reversed(range(bs, self.P, bs)):
-            hi = min(lo + bs, self.P)
-            self.suffix[lo] = np.array([
-                _chainer(eye, self.basis[lo:hi])(self.vals[i, lo:hi]) @ self.suffix[hi][i]
-                for i in range(self.L)
-            ])
-            self.tail_gram[lo] = self._gram(lo, hi) + self.tail_gram[hi]
-
-    def _gram(self, lo: int, hi: int) -> np.ndarray:
-        return _gram(self.dts[lo:hi], self.vals[:, lo:hi])
-
-    def _block_q(self, lo: int, hi: int, i: int) -> np.ndarray:
-        """Term i's chain row u^dag T^(0) ... T^(P-1) at its current values."""
-        row = _chainer(self.rows[i], self.basis[lo:hi])(self.vals[i, lo:hi])
-        return row @ self.suffix[hi][i]
-
-    def _term_objective(self, lo: int, hi: int, j: int, qs: np.ndarray):
-        """evaluate(beta) -> full-horizon cost with term j's values on block
-        [lo, hi) set to the (hi - lo, m) array beta; qs are the terms' current
-        chain rows. The context holds the exponentials of every Gram entry
-        outside row and column j, the fixed part of column j's exponent, the
-        other terms' rows and the block's basis slice. A candidate then
-        exponentiates only column j (row j is its conjugate), chains term j's
-        row through the block (in scalar arithmetic for 2x2 models) and
-        solves for the system vectors, keeping only the cost. Evaluations
-        count into nfev, non-finite costs into failed; the search runs them
-        under _sweep_block's np.errstate, since an overflowing Gram column is
-        one such cost, not an error. Term j's committed row and the block's
-        basis slice are prepared once for the term (see _chainer); the row
-        still meets the suffix product through numpy's matrix product.
-        """
-        base = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
-        kappa = np.exp(base)
-        # Column j of the exponent is col_rest + weights @ beta, where row j
-        # of weights, dt conj(beta), is the candidate's own.
-        dts = np.repeat(self.dts[lo:hi], self.m)
-        weights = dts * np.conj(self.vals[:, lo:hi].reshape(self.L, -1))
-        col_rest = base[:, j] - weights @ self.vals[j, lo:hi].ravel()
-        qs = qs.copy()
-        chain = _chainer(self.rows[j], self.basis[lo:hi])
-        suffix, us, support, penalty = self.suffix[hi][j], self.us, self.support, self.penalty
-
-        def evaluate(beta):
-            self.nfev += 1
-            flat = beta.ravel()
-            weights[j] = dts * np.conj(flat)
-            col = np.exp(col_rest + weights @ flat)
-            kappa[:, j] = col
-            kappa[j] = np.conj(col)
-            qs[j] = chain(beta) @ suffix
-            value, _, failed = _solve_coefficients(kappa, qs, us, support, penalty)
-            self.failed |= failed
-            return value
-
-        return evaluate
-
-    def _sweep_block(self, lo: int, hi: int):
-        """One per-term pass over block [lo, hi), full-horizon objective."""
-        shape = (hi - lo, self.m)
-        qs = np.array([self._block_q(lo, hi, i) for i in range(self.L)])
-        for j in range(self.L):
-            x0 = _split(self.vals[j, lo:hi])
+    for lo in range(0, P, bs):
+        hi = min(lo + bs, P)
+        shape = (hi - lo, m)
+        basis = problem.basis[lo:hi]
+        outer = g_inner + tail_gram[hi]
+        qs = np.array([_chainer(rows[i], basis)(vals[i, lo:hi]) @ suffix[hi][i]
+                       for i in range(L)])
+        for j in range(L):
+            x0 = _split(vals[j, lo:hi])
             with np.errstate(all="ignore"):
-                evaluate = self._term_objective(lo, hi, j, qs)
-                x, _, _ = _nelder_mead(lambda x: evaluate(_join(x, shape)),
-                                       x0, self.schedule.max_iter or 120 * x0.size, True)
-            self.vals[j, lo:hi] = _join(x, shape)
-            qs[j] = self._block_q(lo, hi, j)
-        self._resolve(lo, hi, qs)
-
-    def _resolve(self, lo: int, hi: int, qs: np.ndarray):
-        """Solve the system vectors with every block at its current value."""
-        kappa_in = self.g_inner + self.tail_gram[hi] + self._gram(lo, hi)
-        _, self.us, failed = _solve_coefficients(
-            np.exp(kappa_in), qs, self.us, self.support, self.penalty
-        )
-        self.failed |= failed
-
-    def _commit_block(self, lo, hi):
-        for i in range(self.L):
-            self.rows[i] = _chainer(self.rows[i], self.basis[lo:hi])(self.vals[i, lo:hi])
-        self.g_inner = self.g_inner + self._gram(lo, hi)
-
-    def run(self):
-        bs = self.schedule.block_size
-        self._build_tail(bs)
-        for lo in range(0, self.P, bs):
-            hi = min(lo + bs, self.P)
-            self._sweep_block(lo, hi)
-            self._commit_block(lo, hi)
-        return self.problem.state(self.us, self.vals.copy()), self.nfev
+                evaluate = _block_objective(problem, vals, us, qs, rows[j], suffix[hi][j],
+                                            outer, lo, hi, j)
+                x, _, n = _nelder_mead(objective, x0, schedule.max_iter or 120 * x0.size, True)
+            nfev += n
+            vals[j, lo:hi] = _join(x, shape)
+            rows[j] = _chainer(rows[j], basis)(vals[j, lo:hi])
+            qs[j] = rows[j] @ suffix[hi][j]
+        gram = _gram(problem.dts[lo:hi], vals[:, lo:hi])
+        _, us, bad = _solve_coefficients(np.exp(outer + gram), qs, us,
+                                         problem.support, problem.penalty)
+        failed |= bad
+        g_inner = g_inner + gram
+    return problem.state(us, vals), nfev, failed
 
 
 def optimize(model: SlhModel, psi, initial: ApproxState,
@@ -775,13 +744,8 @@ def optimize(model: SlhModel, psi, initial: ApproxState,
     schedule = schedule or OptimizeSchedule()
     initial_cost = cost(model, psi, initial)
 
-    problem = _Problem(model, psi, initial, schedule)
-    if schedule.block_size:
-        opt = _BlockOptimizer(model, problem, schedule)
-        state, nfev = opt.run()
-        failed = opt.failed
-    else:
-        state, nfev, failed = _joint_search(problem, schedule)
+    search = _block_search if schedule.block_size else _joint_search
+    state, nfev, failed = search(_Problem(model, psi, initial, schedule), schedule)
 
     final_cost = cost(model, psi, state)
     if final_cost > initial_cost:

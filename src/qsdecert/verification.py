@@ -30,6 +30,7 @@ from .errors import (
     ReferenceUnconvergedWarning,
     as_level,
     as_nonnegative,
+    as_seed,
 )
 from .models import SlhModel, _fock_embedding, kerr_cavity, kerr_family
 from .operators import matexp, opnorm
@@ -334,7 +335,9 @@ def _suite_residual_oracle(quick: bool, rng: np.random.Generator) -> dict:
 
 
 def run_suite(quick: bool = False, seed: int = 0) -> dict:
-    """Run all oracle cross-checks; returns a JSON-ready report."""
+    """Run all oracle cross-checks; returns a JSON-ready report. seed is
+    a seed under errors.as_seed."""
+    seed = as_seed(seed)
     rng = np.random.default_rng(seed)
     sections = {}
     for name, fn in [

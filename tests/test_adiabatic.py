@@ -350,11 +350,13 @@ def test_ae_certificate_table_small_run():
      [0.018447336702168814, 0.0066278306484582414, 0.003780281719037307,
       0.003365526549048853, 0.0033212035258410742]),
     (6, 2, 0.004604376959721853, 13029, None),
+    (7, 3, 0.004751474426251976, 16114, None),
 ])
 def test_ae_search_paths_are_pinned(n_intervals, blocks, cost, nfev, bounds):
     # The block search's path, bit for bit: the 4-interval pipeline is the
     # benchmark's ae-search item, the 6-interval one commits a block before
-    # searching the next. A rounding-level change to the candidate solve or
+    # searching the next, and the 7-interval one ends on a one-interval
+    # block. A rounding-level change to the candidate solve or
     # chain sends Nelder-Mead down another path, which shows here first.
     reports, result = ae_certificate_table(
         () if bounds is None else (10**4, 10**5, 10**6, 10**7, 10**8),

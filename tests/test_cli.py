@@ -338,6 +338,19 @@ def test_linalg_failure_exits_cleanly(monkeypatch, capsys):
     assert captured.err.startswith("error:") and "injected failure" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--model", "kerr", "--k", "3"],
+    ["kerr-table", "--k", "3", "--optimize"],
+    ["verify", "--quick"],
+])
+def test_negative_seed_exits_cleanly(argv, capsys):
+    # These ended in numpy's "expected non-negative integer" traceback.
+    assert main(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "seed" in captured.err
+
+
 def test_main_runs_different_commands_back_to_back(tmp_path):
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps({"gamma": 2.0, "qL": 1.0, "qa": 0.5, "qe": 0.5}))

@@ -37,11 +37,14 @@ from qsdecert.states import (
     FATOL,
     SEARCH_PENALTY,
     XATOL,
-    _BlockOptimizer,
+    _block_objective,
+    _chainer,
     _expm2,
+    _gram,
     _nelder_mead,
     _Problem,
     _solve_coefficients,
+    _tails,
 )
 
 MODEL = kerr_cavity(25.0, 50.0, -50.0 / 60.0, 2)
@@ -458,7 +461,7 @@ def test_nelder_mead_matches_scipy(objective, x0, maxiter, adaptive):
 
 @pytest.mark.parametrize("field, value", [
     ("block_size", -1), ("block_size", 0), ("block_size", 2.5), ("max_iter", 0),
-    ("u_support", 0), ("u_penalty", math.nan),
+    ("u_support", 0), ("u_penalty", math.nan), ("seed", -1), ("seed", 1.5),
 ])
 def test_optimize_schedule_rejects_invalid_fields(field, value):
     # These once ran, in order: a search of nfev 0, the joint search, into a
@@ -523,22 +526,37 @@ def test_searches_keep_the_initial_label(block_size):
 @MODES
 def test_only_candidates_run_with_flags_ignored(monkeypatch, block_size):
     # A candidate whose Gram column overflows or whose solve fails is one
-    # SEARCH_PENALTY cost, so the simplex runs with numpy's floating-point
-    # flags ignored. The steps that commit a result (the block search's
-    # re-solve and block commit, the state builder) keep the caller's flags:
-    # a fault there is no candidate's, and must show.
+    # SEARCH_PENALTY cost, so the simplex, and the block search's candidate
+    # setup, run with numpy's floating-point flags ignored. The steps that
+    # commit a result (the block search's tail and block-end chains and its
+    # re-solve, the state builder) keep the caller's flags: a fault there is
+    # no candidate's, and must show. Chains and solves inside the simplex
+    # count as the simplex's.
     seen = {}
+    searching = []
+
+    def record(name):
+        seen.setdefault("simplex" if searching else name, set()).add(np.geterr()["invalid"])
 
     def spy(name, fn):
         def wrapped(*args, **kwargs):
-            seen.setdefault(name, set()).add(np.geterr()["invalid"])
+            record(name)
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(states, "_nelder_mead", spy("simplex", _nelder_mead))
+    def simplex(*args):
+        record("simplex")
+        searching.append(True)
+        try:
+            return _nelder_mead(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(states, "_nelder_mead", simplex)
+    monkeypatch.setattr(states, "_chainer", lambda *args: spy("chain", _chainer(*args)))
+    monkeypatch.setattr(states, "_solve_coefficients", spy("solve", _solve_coefficients))
+    monkeypatch.setattr(states, "_block_objective", spy("setup", _block_objective))
     monkeypatch.setattr(_Problem, "state", spy("state", _Problem.state))
-    for name in ("_resolve", "_commit_block"):
-        monkeypatch.setattr(_BlockOptimizer, name, spy(name, getattr(_BlockOptimizer, name)))
     f = SimpleFunction.constant([0.1], 0.5)
     g = SimpleFunction(np.linspace(0.0, 0.5, 5), np.full((4, 1), 0.05 + 0.0j))
     init = ApproxState([(_e(0), g), (_e(1), g)])
@@ -546,8 +564,12 @@ def test_only_candidates_run_with_flags_ignored(monkeypatch, block_size):
         optimize(MODEL, (_e(0), f), init,
                  OptimizeSchedule(block_size=block_size, max_iter=20))
     assert seen.pop("simplex") == {"ignore"}
-    committed = {"state"} | ({"_resolve", "_commit_block"} if block_size else set())
-    assert seen == {name: {"raise"} for name in committed}
+    if block_size:
+        assert seen.pop("setup") == {"ignore"}
+        assert seen == {"chain": {"raise"}, "solve": {"raise"}, "state": {"raise"}}
+    else:
+        # The joint search's first and last evaluations are candidates too.
+        assert seen == {"chain": {"ignore"}, "solve": {"ignore"}, "state": {"raise"}}
 
 
 def test_block_optimizer_descends():
@@ -567,9 +589,11 @@ def test_block_optimizer_descends():
 
 @pytest.mark.parametrize("penalty", [0.0, COEFF_DAMPING])
 def test_block_optimizer_cost_never_rises_between_blocks(monkeypatch, penalty):
-    # The _BlockOptimizer docstring's claim: each block search starts from the
+    # The _block_search docstring's claim: each block search starts from the
     # current values and keeps its best candidate, so the reference cost after
-    # every committed block is no higher than after the one before.
+    # every committed block is no higher than after the one before. A block's
+    # first candidate setup sees the state committed after the block before
+    # (vals is the search's live array), the state builder the last one.
     model = limit_coefficients(atom_cavity_ae(25.0, 5.0, 0.1))
     u0 = np.array([0.0, 1.0], dtype=complex)
     psi = (u0, SimpleFunction.constant([0.1], 1.0))
@@ -577,15 +601,23 @@ def test_block_optimizer_cost_never_rises_between_blocks(monkeypatch, penalty):
     init = ApproxState([(u0, SimpleFunction(bps, np.full((6, 1), 0.1 + 0.0j))),
                         (0.1 * u0, SimpleFunction(bps, np.full((6, 1), 0.05j)))])
     costs = []
-    commit = _BlockOptimizer._commit_block
+    build = _Problem.state
 
-    def recording_commit(opt, lo, hi):
-        commit(opt, lo, hi)
-        state = ApproxState([(opt.us[i], SimpleFunction(bps, opt.vals[i].copy()))
-                             for i in range(opt.L)])
+    def record(us, vals):
+        state = ApproxState([(u, SimpleFunction(bps, v.copy())) for u, v in zip(us, vals)])
         costs.append(cost(model, psi, state))
 
-    monkeypatch.setattr(_BlockOptimizer, "_commit_block", recording_commit)
+    def objective(problem, vals, us, qs, row, suffix, outer, lo, hi, j):
+        if lo > 0 and j == 0:
+            record(us, vals)
+        return _block_objective(problem, vals, us, qs, row, suffix, outer, lo, hi, j)
+
+    def state(problem, us, vals):
+        record(us, vals)
+        return build(problem, us, vals)
+
+    monkeypatch.setattr(states, "_block_objective", objective)
+    monkeypatch.setattr(_Problem, "state", state)
     optimize(model, psi, init, OptimizeSchedule(block_size=2, max_iter=60, u_penalty=penalty))
     assert len(costs) == 3
     for before, after in zip(costs, costs[1:]):
@@ -651,25 +683,33 @@ def test_block_objective_matches_reference_cost(family, penalty, support):
 
     terms = [(draw(dim), SimpleFunction(bps, 0.1 * draw(6, 1))) for _ in range(3)]
     schedule = OptimizeSchedule(block_size=2, u_support=support, u_penalty=penalty)
-    opt = _BlockOptimizer(model, _Problem(model, psi, ApproxState(terms), schedule), schedule)
-    opt._build_tail(2)
-    opt._commit_block(0, 2)
+    problem = _Problem(model, psi, ApproxState(terms), schedule)
+    vals, us, failed = problem.vals.copy(), problem.us, False
+    suffix, tail_gram = _tails(problem, vals, 2)
     lo, hi = 2, 4
-    qs = np.array([opt._block_q(lo, hi, i) for i in range(opt.L)])
-    for j in range(opt.L):
-        evaluate = opt._term_objective(lo, hi, j, qs)
-        beta = opt.vals[j, lo:hi] + 0.05 * draw(2, 1)
-        value = evaluate(beta)
+    rows = [_chainer(problem.row, problem.basis[:lo])(v[:lo]) for v in vals]
+    outer = _gram(problem.dts[:lo], vals[:, :lo]) + tail_gram[hi]
+
+    def chain(i):
+        return _chainer(rows[i], problem.basis[lo:hi])(vals[i, lo:hi]) @ suffix[hi][i]
+
+    qs = np.array([chain(i) for i in range(3)])
+    for j in range(3):
+        evaluate = _block_objective(problem, vals, us, qs, rows[j], suffix[hi][j],
+                                    outer, lo, hi, j)
+        beta = vals[j, lo:hi] + 0.05 * draw(2, 1)
+        value, _, bad = evaluate(beta)
         # The context is reused in place: another candidate leaves no trace.
-        evaluate(beta + 0.3)
-        assert evaluate(beta) == value
-        opt.vals[j, lo:hi] = beta
-        qs[j] = opt._block_q(lo, hi, j)
-        opt._resolve(lo, hi, qs)
-        state = ApproxState([(opt.us[i], SimpleFunction(bps, opt.vals[i]))
-                             for i in range(opt.L)])
+        failed |= bad | evaluate(beta + 0.3)[2]
+        assert evaluate(beta)[0] == value
+        vals[j, lo:hi] = beta
+        qs[j] = chain(j)
+        kappa = np.exp(outer + _gram(problem.dts[lo:hi], vals[:, lo:hi]))
+        _, us, bad = _solve_coefficients(kappa, qs, us, problem.support, problem.penalty)
+        failed |= bad
+        state = ApproxState([(u, SimpleFunction(bps, v.copy())) for u, v in zip(us, vals)])
         assert value == pytest.approx(cost(model, psi, state), rel=0.0, abs=1e-12)
-    assert not opt.failed
+    assert not failed
 
 
 @pytest.mark.parametrize("P, bs", [(6, 2), (7, 3)])
@@ -691,18 +731,17 @@ def test_block_tails_match_interval_products(family, P, bs):
     f = SimpleFunction(bps, 0.1 * draw(P, 1))
     terms = [(draw(dim), SimpleFunction(bps, 0.3 * draw(P, 1))) for _ in range(3)]
     schedule = OptimizeSchedule(block_size=bs)
-    opt = _BlockOptimizer(model, _Problem(model, (_e(0, dim), f), ApproxState(terms), schedule),
-                          schedule)
-    opt._build_tail(bs)
+    problem = _Problem(model, (_e(0, dim), f), ApproxState(terms), schedule)
+    suffix, tail_gram = _tails(problem, problem.vals, bs)
     boundaries = [*range(bs, P, bs), P]
-    assert sorted(opt.suffix) == sorted(opt.tail_gram) == boundaries
+    assert sorted(suffix) == sorted(tail_gram) == boundaries
     for hi in boundaries:
         for i, (_, gi) in enumerate(terms):
             ref = np.eye(dim)
             for p in range(hi, P):
                 ref = ref @ sla.expm(dts[p] * generator(model, f.values[p], gi.values[p]))
-            assert np.abs(opt.suffix[hi][i] - ref).max() <= 1e-12
+            assert np.abs(suffix[hi][i] - ref).max() <= 1e-12
         gram = np.array([[sum(dts[p] * np.vdot(gi.values[p], gl.values[p])
                               for p in range(hi, P))
                           for _, gl in terms] for _, gi in terms])
-        assert np.abs(opt.tail_gram[hi] - gram).max() <= 1e-12
+        assert np.abs(tail_gram[hi] - gram).max() <= 1e-12
