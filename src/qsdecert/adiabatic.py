@@ -29,6 +29,7 @@ from .errors import (
     as_amplitudes,
     as_level,
     as_nonnegative,
+    as_operators,
     as_times,
     check_rates,
 )
@@ -70,40 +71,29 @@ class AeModel:
     space H0 (P0 diagonal). `represented` marks basis vectors whose level
     block survived truncation intact; the structural identities are asserted
     on that submatrix only, and J_max acts as a guard level for detecting
-    truncation leakage in operator compositions. Every block, W's included,
-    must be finite and (dim, dim), else a typed error before any structural
-    check.
+    truncation leakage in operator compositions. The blocks obey
+    errors.as_operators (W the m x m grid) and level_of_basis and represented
+    hold one int and one bool per basis vector, else a typed error is raised.
     """
 
     def __init__(self, Y, Ytilde, A, B, F, G, W, P0, level_of_basis,
                  J_max, represented=None, label="", params=None):
-        self.Y = np.asarray(Y, dtype=complex)
-        self.Ytilde = np.asarray(Ytilde, dtype=complex)
-        self.A = np.asarray(A, dtype=complex)
-        self.B = np.asarray(B, dtype=complex)
-        self.F = [np.asarray(Fj, dtype=complex) for Fj in F]
-        self.G = [np.asarray(Gj, dtype=complex) for Gj in G]
-        self.m = len(self.F)
-        self.W = [[np.asarray(W[i][j], dtype=complex) for j in range(self.m)]
-                  for i in range(self.m)]
-        self.P0 = np.asarray(P0, dtype=complex)
-        self.level_of_basis = np.asarray(level_of_basis, dtype=int)
+        (self.Y, self.Ytilde, self.A, self.B, self.P0), (self.F, self.G), self.W = \
+            as_operators([Y, Ytilde, A, B, P0], [F, G], W)
+        self.m, self.dim = len(self.F), self.Y.shape[0]
+        if len(self.G) != self.m:
+            raise InvalidDimensionError("F and G channel counts differ")
+        self.level_of_basis = np.asarray(level_of_basis)
+        self.represented = np.asarray(np.ones(self.dim, bool) if represented is None
+                                      else represented)
+        if self.level_of_basis.dtype.kind not in "iu" or self.represented.dtype.kind != "b":
+            raise InvalidParameterError("level_of_basis must be integers, represented bools")
+        if not self.level_of_basis.shape == self.represented.shape == (self.dim,):
+            raise InvalidDimensionError(f"level_of_basis, represented need {self.dim} entries")
         self.J_max = as_level(J_max, "guard level J_max")
-        self.dim = self.Y.shape[0]
-        if represented is None:
-            represented = np.ones(self.dim, dtype=bool)
-        self.represented = np.asarray(represented, dtype=bool)
         self.label = label
         self.params = dict(params or {})
 
-        if len(self.G) != self.m:
-            raise InvalidDimensionError("F and G channel counts differ")
-        for M in [self.Y, self.Ytilde, self.A, self.B, self.P0, *self.F, *self.G,
-                  *(Wij for row in self.W for Wij in row)]:
-            if M.shape != (self.dim, self.dim):
-                raise InvalidDimensionError("all blocks must share one dimension")
-            if not np.isfinite(M).all():
-                raise InvalidParameterError("model operators must be finite")
         diag = np.diagonal(self.P0)
         if opnorm(self.P0 - np.diag(diag)) > STRUCTURAL_TOL or not np.all(
             np.isclose(diag.real, np.round(diag.real), atol=STRUCTURAL_TOL)
@@ -345,17 +335,11 @@ def oscillator_elimination(E00, E01, E10, E11, F, G, W, J_max: int = 4) -> AeMod
     All arguments are blocks on the retained factor H'; the oscillator enters
     as Y = E11 (x) a*a, A = E10 (x) a* + E01 (x) a, B = E00 (x) I with
     couplings F_j (x) a*, G_j (x) I and scattering W_ij (x) I, truncated at
-    oscillator level J_max, a level (errors.as_level). A non-finite block
-    raises InvalidParameterError before any of them is inverted or tensored.
+    oscillator level J_max, a level (errors.as_level). The blocks obey
+    errors.as_operators before any of them is inverted or tensored.
     """
     J_max = as_level(J_max, "guard level J_max")
-    E00, E01, E10, E11 = (np.asarray(E, dtype=complex) for E in (E00, E01, E10, E11))
-    F = [np.asarray(Fj, dtype=complex) for Fj in F]
-    G = [np.asarray(Gj, dtype=complex) for Gj in G]
-    W = [[np.asarray(Wij, dtype=complex) for Wij in row] for row in W]
-    if not all(np.isfinite(M).all()
-               for M in [E00, E01, E10, E11, *F, *G, *(Wij for row in W for Wij in row)]):
-        raise InvalidParameterError("model operators must be finite")
+    (E00, E01, E10, E11), (F, G), W = as_operators([E00, E01, E10, E11], [F, G], W)
     if np.linalg.cond(E11) > E11_MAX_COND:
         raise InvalidModelError("fast block E11 is numerically singular")
     E11_inv = np.linalg.inv(E11)

@@ -6,7 +6,7 @@ Whether an input is valid is decided here alone: a count (level, order,
 number of intervals) by as_level, a time by as_times or as_nonnegative, a
 rate or coupling by as_nonnegative or, for a record's fields, check_rates,
 a vector of channel amplitudes (or one drive amplitude) by as_amplitudes,
-and a random seed by as_seed.
+a random seed by as_seed, and a model's operator blocks by as_operators.
 """
 
 import math
@@ -180,3 +180,33 @@ def as_amplitudes(value, m: int, what: str) -> np.ndarray:
             return v
     raise InvalidAmplitudeError(f"{what} must be {m} finite real or complex "
                                 f"number(s), got {value!r}")
+
+
+def as_operators(blocks, channels, grid):
+    """The operator-block rule of every model: blocks holds single operators
+    (H; Y, A, ...), channels per-channel lists (L; F and G) and grid an m x m
+    nested sequence (S; W), m the length of channels[0]. Every block must be a
+    numeric square matrix of one shared dimension and the grid m x m, else
+    InvalidDimensionError, and finite, else InvalidParameterError. Returns
+    (blocks, channels, grid) as lists of np.asarray(block, dtype=complex)."""
+    shapes = set()
+
+    def block(op):
+        if _kind(op) not in "biufc":
+            raise InvalidParameterError("model operators must be finite numbers, got "
+                                        f"numpy kind {_kind(op)!r}")
+        a = np.asarray(op, dtype=complex)
+        shapes.add(a.shape)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or len(shapes) > 1:
+            raise InvalidDimensionError("model operators must be square, of one shape, "
+                                        f"got {sorted(shapes)}")
+        if not np.isfinite(a).all():
+            raise InvalidParameterError("model operators must be finite")
+        return a
+
+    blocks = [block(op) for op in blocks]
+    channels, grid = ([[block(op) for op in row] for row in seq] for seq in (channels, grid))
+    m = len(channels[0])
+    if len(grid) != m or any(len(row) != m for row in grid):
+        raise InvalidDimensionError(f"scattering blocks must form a {m} x {m} layout")
+    return blocks, channels, grid

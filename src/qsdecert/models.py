@@ -20,6 +20,7 @@ from .errors import (
     UnsupportedModelError,
     as_level,
     as_nonnegative,
+    as_operators,
 )
 from .operators import adjoint, annihilation, creation, opnorm, tensor
 
@@ -57,23 +58,8 @@ class SlhModel:
     """
 
     def __init__(self, label, S, L, H, factor_dims=None, params=None):
-        H = np.asarray(H, dtype=complex)
-        dim = H.shape[0]
-        if H.shape != (dim, dim):
-            raise InvalidDimensionError("H must be square")
-        L = [np.asarray(Lj, dtype=complex) for Lj in L]
-        m = len(L)
-        S = [[np.asarray(S[j][i], dtype=complex) for i in range(m)] for j in range(m)]
-        for Lj in L:
-            if Lj.shape != (dim, dim):
-                raise InvalidDimensionError("coupling operator shape mismatch")
-        for row in S:
-            for Sji in row:
-                if Sji.shape != (dim, dim):
-                    raise InvalidDimensionError("scattering block shape mismatch")
-        for op in (H, *L, *(Sji for row in S for Sji in row)):
-            if not np.isfinite(op).all():
-                raise InvalidParameterError("model operators must be finite")
+        (H,), (L,), S = as_operators([H], [L], S)
+        m, dim = len(L), H.shape[0]
         if factor_dims is None:
             factor_dims = (dim,)
         factor_dims = tuple(int(d) for d in factor_dims)
@@ -103,12 +89,8 @@ class SlhModel:
         self.L = tuple(L)
         self.H = H
         self.params = dict(params or {})
-        for row in self.S:
-            for blk in row:
-                blk.setflags(write=False)
-        for Lj in self.L:
-            Lj.setflags(write=False)
-        self.H.setflags(write=False)
+        for op in (self.H, *self.L, *(Sji for row in self.S for Sji in row)):
+            op.setflags(write=False)
 
     def scattering_is_identity(self, tol: float = 1e-14) -> bool:
         eye = np.eye(self.dim, dtype=complex)
@@ -248,10 +230,7 @@ def _decode_entry(x) -> complex:
 
 
 def decode_matrix(data) -> np.ndarray:
-    a = np.array([[_decode_entry(x) for x in row] for row in data], dtype=complex)
-    if not np.isfinite(a).all():
-        raise InvalidParameterError("matrix entries must be finite")
-    return a
+    return np.array([[_decode_entry(x) for x in row] for row in data], dtype=complex)
 
 
 def encode_vector(v: np.ndarray):
@@ -277,9 +256,11 @@ def model_to_json(model: SlhModel) -> dict:
 
 
 def model_from_json(data: dict) -> SlhModel:
+    """The SlhModel model_to_json wrote; a missing key, malformed entry or m
+    other than len(L) raises InvalidParameterError, bad blocks as in SlhModel."""
     try:
         m = int(data["m"])
-        S = [[decode_matrix(data["S"][j][i]) for i in range(m)] for j in range(m)]
+        S = [[decode_matrix(Sji) for Sji in row] for row in data["S"]]
         L = [decode_matrix(Lj) for Lj in data["L"]]
         H = decode_matrix(data["H"])
         dim = int(data["dim"])
@@ -287,18 +268,18 @@ def model_from_json(data: dict) -> SlhModel:
             raise InvalidParameterError(
                 f"model JSON declares m = {m} channels but has {len(L)} L entries"
             )
+        model = SlhModel(
+            label=data.get("label", "model"),
+            S=S,
+            L=L,
+            H=H,
+            factor_dims=data.get("factor_dims"),
+            params=data.get("params", {}),
+        )
     except KeyError as exc:
         raise InvalidParameterError(f"model JSON lacks the key {exc}") from exc
     except (IndexError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed model JSON: {exc}") from exc
-    model = SlhModel(
-        label=data.get("label", "model"),
-        S=S,
-        L=L,
-        H=H,
-        factor_dims=data.get("factor_dims"),
-        params=data.get("params", {}),
-    )
     if model.dim != dim:
         raise InvalidDimensionError("declared dim does not match operators")
     return model

@@ -709,8 +709,9 @@ def _block_search(problem: _Problem, schedule: OptimizeSchedule):
         shape = (hi - lo, m)
         basis = problem.basis[lo:hi]
         outer = g_inner + tail_gram[hi]
-        qs = np.array([_chainer(rows[i], basis)(vals[i, lo:hi]) @ suffix[hi][i]
-                       for i in range(L)])
+        # Term 0's candidates set its own row; qs[0] is a placeholder.
+        qs = np.array(rows[:1] + [_chainer(rows[i], basis)(vals[i, lo:hi]) @ suffix[hi][i]
+                                  for i in range(1, L)])
         for j in range(L):
             x0 = _split(vals[j, lo:hi])
             with np.errstate(all="ignore"):

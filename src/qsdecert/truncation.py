@@ -227,15 +227,17 @@ def atom_cavity_constants(k: int, alpha: complex, beta: complex,
 
 
 def constants_for(model: SlhModel, alpha: complex, beta: complex) -> BoundConstants:
-    """Dispatch rate constants from a built-in model's parameters."""
-    family = model.params.get("family")
-    if family == "kerr":
-        return kerr_constants(model.params["k"], alpha, beta, model.params["lam"])
-    if family == "atom_cavity":
-        return atom_cavity_constants(
-            model.params["k"], alpha, beta,
-            model.params["lam"], model.params["chi"],
-        )
+    """Dispatch rate constants from a built-in model's parameters; a missing
+    parameter raises InvalidParameterError."""
+    p = model.params
+    family = p.get("family")
+    try:
+        if family == "kerr":
+            return kerr_constants(p["k"], alpha, beta, p["lam"])
+        if family == "atom_cavity":
+            return atom_cavity_constants(p["k"], alpha, beta, p["lam"], p["chi"])
+    except KeyError as exc:
+        raise InvalidParameterError(f"{family} model parameters lack {exc}") from exc
     raise UnsupportedModelError(
         "no built-in rate constants for this model; supply BoundConstants"
     )

@@ -162,6 +162,32 @@ def test_non_finite_model_blocks_are_typed_errors(block, value):
         oscillator_elimination(**blocks)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: oscillator_elimination(Z1, Z1, Z1, np.ones((1, 2)), [Z1], [Z1], [[np.eye(1)]]),
+    lambda: oscillator_elimination(Z1, Z1, Z1, [[-GAMMA / 2.0]], [Z1], [Z1], []),
+    lambda: _rebuild(_osc(), W=[]),
+], ids=["non-square-E11", "oscillator-empty-W", "ae-model-empty-W"])
+def test_model_blocks_follow_the_operator_rule(build):
+    # errors.as_operators: numpy's LinAlgError from cond(E11), and IndexError
+    # for a one-channel W with no rows.
+    with pytest.raises(InvalidDimensionError):
+        build()
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("level_of_basis", lambda m: m.level_of_basis[:3], InvalidDimensionError),
+    ("represented", lambda m: m.represented[:3], InvalidDimensionError),
+    ("level_of_basis", lambda m: ["a"] * m.dim, InvalidParameterError),
+], ids=["short-levels", "short-represented", "string-levels"])
+def test_levels_and_represented_cover_the_basis(key, value, error):
+    # A short level list skipped m_constants' guard-level leakage check, a
+    # short mask checked Ytilde Y = I - P0 on a corner only, and string
+    # levels raised a builtin ValueError.
+    m = atom_cavity_ae(GAMMA, G_COUP, DRIVE)
+    with pytest.raises(error):
+        m_constants(_rebuild(m, **{key: value(m)}), DRIVE, DRIVE, 10)
+
+
 def test_atom_cavity_ae_resolvent_denominators():
     # d_j = j(j-1) gamma^2/4 + j g^2 shows up inverted in the -g sqrt(j) slots
     m = atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=4)

@@ -302,6 +302,25 @@ def test_bound_malformed_model_file_exits_cleanly(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("change", [
+    lambda data: {"S": [data["S"][0] * 2]},
+    lambda data: {"params": "x"},
+    lambda data: {"params": {"family": "kerr", "lam": 25.0}},
+    lambda data: {"factor_dims": ["a"]},
+    lambda data: {"factor_dims": 4},
+], ids=["two-block-S-row", "params-string", "params-without-k", "factor-dims-string",
+        "factor-dims-int"])
+def test_bound_malformed_model_parts_exit_cleanly(tmp_path, capsys, change):
+    # The S file exited 0 with its second block ignored; the others ended in
+    # a ValueError, KeyError or TypeError traceback.
+    data = model_to_json(kerr_cavity(25.0, 50.0, -5.0 / 6.0, 3))
+    data.update(change(data))
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(data))
+    assert main(["bound", "--model", str(mfile), "--partition", "0,1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_bound_bad_amplitudes_exit_cleanly(tmp_path, capsys):
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps(model_to_json(kerr_cavity(25.0, 50.0, -5.0 / 6.0, 3))))

@@ -96,6 +96,19 @@ def test_slh_model_validation():
             SlhModel("bad", ((np.diag([1.0, bad]),),), (a,), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("S, L, H, error", [
+    ([[np.eye(1)]], [np.eye(1)], 1.0, InvalidDimensionError),
+    ([], [np.eye(2)], np.eye(2), InvalidDimensionError),
+    ([[np.eye(2), np.eye(2)]], [np.eye(2)], np.eye(2), InvalidDimensionError),
+    ([[np.eye(2)]], [np.eye(2)], [["a", "b"], ["c", "d"]], InvalidParameterError),
+], ids=["scalar-H", "empty-S", "two-block-S-row", "string-H"])
+def test_slh_model_blocks_follow_the_operator_rule(S, L, H, error):
+    # errors.as_operators: these raised IndexError, a builtin ValueError, or
+    # (the two-block row) built a model that ignored the second block.
+    with pytest.raises(error):
+        SlhModel("bad", S, L, H)
+
+
 @pytest.mark.parametrize("scale, passes", [(0.5, True), (2.0, False)])
 def test_validation_tolerance_boundaries(scale, passes):
     eye = np.eye(2)
