@@ -67,45 +67,44 @@ COEFF_DAMPING = 1e-3
 class AeModel:
     """Level-graded singularly scaled model on a truncated space.
 
-    The basis carries an integer level per index; level 0 spans the slow
-    space H0 (P0 diagonal). `represented` marks basis vectors whose level
-    block survived truncation intact; the structural identities are asserted
-    on that submatrix only, and J_max acts as a guard level for detecting
+    The basis carries one integer level per index, and the levels fix the
+    rest: level 0 spans the slow space H0, so P0 = diag(level == 0) and E,
+    the isometry H0 -> full space, holds the H0 columns of the identity;
+    the levels up to the guard level J_max are `represented`, the basis
+    vectors whose level block survived truncation intact. The structural
+    identities are asserted on that submatrix only, and J_max detects
     truncation leakage in operator compositions. The blocks obey
-    errors.as_operators (W the m x m grid) and level_of_basis and represented
-    hold one int and one bool per basis vector, else a typed error is raised.
+    errors.as_operators (W the m x m grid) and level_of_basis holds one int
+    per basis vector, else a typed error is raised.
     """
 
-    def __init__(self, Y, Ytilde, A, B, F, G, W, P0, level_of_basis,
-                 J_max, represented=None, label="", params=None):
-        (self.Y, self.Ytilde, self.A, self.B, self.P0), (self.F, self.G), self.W = \
-            as_operators([Y, Ytilde, A, B, P0], [F, G], W)
+    def __init__(self, Y, Ytilde, A, B, F, G, W, level_of_basis, J_max,
+                 label="", params=None):
+        (self.Y, self.Ytilde, self.A, self.B), (self.F, self.G), self.W = \
+            as_operators([Y, Ytilde, A, B], [F, G], W)
         self.m, self.dim = len(self.F), self.Y.shape[0]
         if len(self.G) != self.m:
             raise InvalidDimensionError("F and G channel counts differ")
-        self.level_of_basis = np.asarray(level_of_basis)
-        self.represented = np.asarray(np.ones(self.dim, bool) if represented is None
-                                      else represented)
-        if self.level_of_basis.dtype.kind not in "iu" or self.represented.dtype.kind != "b":
-            raise InvalidParameterError("level_of_basis must be integers, represented bools")
-        if not self.level_of_basis.shape == self.represented.shape == (self.dim,):
-            raise InvalidDimensionError(f"level_of_basis, represented need {self.dim} entries")
+        level = np.array(level_of_basis)
+        if level.dtype.kind not in "iu":
+            raise InvalidParameterError("level_of_basis must be integers")
+        if level.shape != (self.dim,):
+            raise InvalidDimensionError(f"level_of_basis needs {self.dim} entries")
         self.J_max = as_level(J_max, "guard level J_max")
         self.label = label
         self.params = dict(params or {})
 
-        diag = np.diagonal(self.P0)
-        if opnorm(self.P0 - np.diag(diag)) > STRUCTURAL_TOL or not np.all(
-            np.isclose(diag.real, np.round(diag.real), atol=STRUCTURAL_TOL)
-        ):
-            raise StructuralModelError("P0 must be a diagonal 0/1 projector")
-        self.h0_indices = np.where(diag.real > 0.5)[0]
+        slow = level == 0
+        self.h0_indices = np.flatnonzero(slow)
         if self.h0_indices.size == 0:
             raise StructuralModelError("slow space H0 is empty")
-
         eye = np.eye(self.dim, dtype=complex)
-        mask = self.represented
-        off = eye - self.P0
+        self.level_of_basis, self.represented = level, level <= self.J_max
+        self.P0, self.E = np.diag(slow).astype(complex), eye[:, slow]
+        for a in (level, self.represented, self.h0_indices, self.P0, self.E):
+            a.setflags(write=False)
+
+        off, mask = eye - self.P0, self.represented
         if opnorm(self.Y @ self.P0) > STRUCTURAL_TOL:
             raise StructuralModelError("Y does not annihilate the slow space")
         for name, prod in (("Ytilde*Y", self.Ytilde @ self.Y),
@@ -121,13 +120,6 @@ class AeModel:
                 raise StructuralModelError("F_j* does not annihilate H0")
         if opnorm(self.P0 @ self.A @ self.P0) > STRUCTURAL_TOL:
             raise StructuralModelError("A has a diagonal H0 block")
-
-    def embedding(self) -> np.ndarray:
-        """Isometry H0 -> full space (columns are the H0 basis vectors)."""
-        E = np.zeros((self.dim, self.h0_indices.size), dtype=complex)
-        for c, i in enumerate(self.h0_indices):
-            E[i, c] = 1.0
-        return E
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"AeModel({self.label!r}, dim={self.dim}, J_max={self.J_max})"
@@ -179,7 +171,7 @@ def limit_coefficients(model: AeModel) -> SlhModel:
     raise StructuralModelError, smaller ones are projected out. H = (X -
     X^dag) / 2i is self-adjoint by construction, and SlhModel checks it.
     """
-    E = model.embedding()
+    E = model.E
     Ed = adjoint(E)
     d0 = E.shape[1]
     Yt = model.Ytilde
@@ -232,7 +224,7 @@ def _m_matrices(model: AeModel, G, alpha, beta):
     M1 = ||P1 + Q1/k||, M2 = ||P2 + Q2/k||; raises if any composition carries
     amplitude at or beyond the guard level J_max.
     """
-    E = model.embedding()
+    E = model.E
     off = np.eye(model.dim, dtype=complex) - model.P0
     Yt = model.Ytilde
 
@@ -348,11 +340,9 @@ def oscillator_elimination(E00, E01, E10, E11, F, G, W, J_max: int = 4) -> AeMod
     a = annihilation(df)
     ad = creation(df)
     N = number(df)
-    eyep = np.eye(dp, dtype=complex)
     eyef = np.eye(df, dtype=complex)
 
     inv_n = np.diag([0.0] + [1.0 / n for n in range(1, df)]).astype(complex)
-    P0 = tensor(eyep, np.diag([1.0] + [0.0] * (df - 1)).astype(complex))
     level = np.tile(np.arange(df), dp)
 
     m = len(F)
@@ -364,7 +354,6 @@ def oscillator_elimination(E00, E01, E10, E11, F, G, W, J_max: int = 4) -> AeMod
         F=[tensor(Fj, ad) for Fj in F],
         G=[tensor(Gj, eyef) for Gj in G],
         W=[[tensor(W[i][j], eyef) for j in range(m)] for i in range(m)],
-        P0=P0,
         level_of_basis=level,
         J_max=J_max,
         label=f"oscillator_elimination(J_max={J_max})",
@@ -432,17 +421,11 @@ def atom_cavity_ae(gamma: float, g: float, alpha_drive: complex,
         ids = [idx(PLUS, j), idx(MINUS, j), idx(E, j - 1)]
         Ytilde[np.ix_(ids, ids)] = block
 
-    P0 = np.zeros((dim, dim), dtype=complex)
-    P0[idx(PLUS, 0), idx(PLUS, 0)] = 1.0
-    P0[idx(MINUS, 0), idx(MINUS, 0)] = 1.0
-
     level = np.zeros(dim, dtype=int)
     for n in range(df):
         level[idx(PLUS, n)] = n
         level[idx(MINUS, n)] = n
         level[idx(E, n)] = n + 1
-    represented = np.ones(dim, dtype=bool)
-    represented[idx(E, J_max)] = False
 
     return AeModel(
         Y=Y,
@@ -452,10 +435,8 @@ def atom_cavity_ae(gamma: float, g: float, alpha_drive: complex,
         F=F,
         G=G,
         W=W,
-        P0=P0,
         level_of_basis=level,
         J_max=J_max,
-        represented=represented,
         label=f"atom_cavity_ae(J_max={J_max})",
         params={
             "family": "atom_cavity_ae",
@@ -499,10 +480,11 @@ def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
     result = None
     if state is None:
         # Two stages: a cheap coarse-partition search gets the shape of the
-        # minimizer (the cost is invariant under partition refinement, so the
-        # result transplants to the fine grid at identical cost), then the
-        # sequential block sweeps polish on the requested partition.
-        n_coarse = min(10, n_intervals)
+        # minimizer, then the sequential block sweeps polish on the requested
+        # partition. The coarse grid has the largest count <= 10 dividing
+        # n_intervals, so the fine grid refines it and (the cost being
+        # invariant under refinement) the result transplants at its cost.
+        n_coarse = max(d for d in range(1, 11) if n_intervals % d == 0)
         coarse_bp = np.linspace(0.0, t_final, n_coarse + 1)
         init = ApproxState(
             [(u0.copy(), SimpleFunction(coarse_bp, np.full((n_coarse, 1), alpha,

@@ -188,14 +188,15 @@ def as_operators(blocks, channels, grid):
     nested sequence (S; W), m the length of channels[0]. Every block must be a
     numeric square matrix of one shared dimension and the grid m x m, else
     InvalidDimensionError, and finite, else InvalidParameterError. Returns
-    (blocks, channels, grid) as lists of np.asarray(block, dtype=complex)."""
+    (blocks, channels, grid) as lists of np.array(block, dtype=complex), copies
+    that a model may freeze without freezing the caller's arrays."""
     shapes = set()
 
     def block(op):
         if _kind(op) not in "biufc":
             raise InvalidParameterError("model operators must be finite numbers, got "
                                         f"numpy kind {_kind(op)!r}")
-        a = np.asarray(op, dtype=complex)
+        a = np.array(op, dtype=complex)
         shapes.add(a.shape)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or len(shapes) > 1:
             raise InvalidDimensionError("model operators must be square, of one shape, "

@@ -89,8 +89,12 @@ def matexp(g: np.ndarray, t: float = 1.0) -> np.ndarray:
     everywhere keeps all its entries.
 
     Accurate to ~1e-12 relative in spectral norm for ||t g|| up to ~1e4.
+    A g that is not a square matrix raises InvalidDimensionError, a
+    non-finite t or entry NumericError.
     """
     g = np.asarray(g, dtype=complex)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise InvalidDimensionError(f"matrix must be square, got shape {g.shape}")
     if not np.isfinite(t):
         raise NumericError("time must be finite")
     if not np.all(np.isfinite(g)):

@@ -61,14 +61,14 @@ class SimpleFunction:
     """
 
     def __init__(self, breakpoints, values):
-        bp = np.asarray(breakpoints, dtype=float)
+        bp = np.array(breakpoints, dtype=float)
         try:
             numeric = np.asarray(values).dtype.kind in "biufc"
         except ValueError:  # a ragged sequence
             numeric = False
         if not numeric:
             raise InvalidAmplitudeError(f"amplitudes must be numbers, got {values!r}")
-        vals = np.atleast_2d(np.asarray(values, dtype=complex))
+        vals = np.atleast_2d(np.array(values, dtype=complex))
         if bp.ndim != 1 or bp.size < 2:
             raise InvalidAmplitudeError("need at least two breakpoints")
         if bp[0] != 0.0:
@@ -134,10 +134,20 @@ class SimpleFunction:
         return complex(np.sum(dt * np.sum(np.conj(f.values) * g.values, axis=1)))
 
     def with_breakpoints(self, breakpoints) -> "SimpleFunction":
-        """Re-express on a finer partition containing all original points."""
+        """Re-express on a refinement: a partition that holds every original
+        breakpoint to BREAKPOINT_MERGE_TOL, else PartitionError. A partition
+        reaching past t_final raises InvalidAmplitudeError."""
         bp = np.asarray(breakpoints, dtype=float)
         mids = 0.5 * (bp[:-1] + bp[1:])
-        return SimpleFunction(bp, self.values[self.interval_index(mids)])
+        refined = SimpleFunction(bp, self.values[self.interval_index(mids)])
+        bp, old = refined.breakpoints, self.breakpoints
+        near = np.searchsorted(bp, old).clip(1, bp.size - 1)
+        gaps = np.minimum(np.abs(bp[near] - old), np.abs(bp[near - 1] - old))
+        if (gaps > BREAKPOINT_MERGE_TOL).any():
+            raise PartitionError(
+                f"partition lacks breakpoint {old[gaps.argmax()]} of the function"
+            )
+        return refined
 
     def __eq__(self, other):
         return (

@@ -99,9 +99,17 @@ def exp_norm(f: SimpleFunction) -> float:
 
 
 class ApproxState:
-    """psi' = sum_j u_j (x) e(g_j) with a shared final time."""
+    """psi' = sum_j u_j (x) e(g_j) with a shared final time; each u_j a
+    finite, nonzero vector of numbers, else InvalidApproximantError."""
 
     def __init__(self, terms, label: str = ""):
+        terms = list(terms)
+        try:
+            numeric = all(np.asarray(u).dtype.kind in "biufc" for u, _ in terms)
+        except ValueError:  # a ragged sequence
+            numeric = False
+        if not numeric:
+            raise InvalidApproximantError("system vectors must be numbers")
         terms = [(np.asarray(u, dtype=complex), g) for u, g in terms]
         if not terms:
             raise InvalidApproximantError("approximant needs at least one term")

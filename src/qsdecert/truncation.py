@@ -315,16 +315,7 @@ class CertificateReport:
         )
 
     def to_row(self) -> dict:
-        row = {
-            "k": self.k,
-            "r": self.r,
-            "s": self.s,
-            "t": self.t,
-            "z_sum": self.z_sum,
-            "residual": self.residual,
-            "mismatch": self.mismatch,
-            "bound": self.bound,
-        }
+        row = {key: getattr(self, key) for key in CSV_HEADER.split(",")}
         if self.k_scaling is not None:
             row["k_scaling"] = self.k_scaling
         return row
@@ -407,7 +398,7 @@ def theorem_bound(model: SlhModel, psi, psi_prime: ApproxState,
         lambda fr, gr: constants_for(model, fr.values[:, 0], gr.values[:, 0]),
     )
     return certify(lambda c, dts: z_bound(c, r, s, dts),
-                   k=model.params.get("k", model.dim - 1), r=r, s=s)
+                   k=model.params["k"], r=r, s=s)
 
 
 # ---------------------------------------------------------------------------

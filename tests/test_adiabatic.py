@@ -31,6 +31,8 @@ from qsdecert import (
     opnorm,
     oscillator_elimination,
 )
+from qsdecert import adiabatic
+from qsdecert import cost as residual_cost
 from qsdecert.adiabatic import _m_matrices
 
 GAMMA, G_COUP, DRIVE = 25.0, 5.0, 0.1
@@ -48,8 +50,8 @@ def _osc(e11=-GAMMA / 2.0, J_max=4):
 def _rebuild(m, **over):
     kw = dict(
         Y=m.Y, Ytilde=m.Ytilde, A=m.A, B=m.B, F=list(m.F), G=list(m.G),
-        W=[list(r) for r in m.W], P0=m.P0, level_of_basis=m.level_of_basis,
-        J_max=m.J_max, represented=m.represented, label=m.label,
+        W=[list(r) for r in m.W], level_of_basis=m.level_of_basis,
+        J_max=m.J_max, label=m.label,
     )
     kw.update(over)
     return AeModel(**kw)
@@ -79,12 +81,8 @@ def test_oscillator_elimination_singular_fast_block():
 
 def test_structural_validation():
     m = _osc()
-    p_half = m.P0.copy()
-    p_half[m.h0_indices[0], m.h0_indices[0]] = 0.5
-    with pytest.raises(StructuralModelError):
-        _rebuild(m, P0=p_half)
-    with pytest.raises(StructuralModelError):
-        _rebuild(m, P0=np.zeros_like(m.P0))
+    with pytest.raises(StructuralModelError, match="H0 is empty"):
+        _rebuild(m, level_of_basis=m.level_of_basis + 1)
     y_bad = m.Y.copy()
     y_bad[m.h0_indices[0], m.h0_indices[0]] = 1.0
     with pytest.raises(StructuralModelError):
@@ -176,16 +174,31 @@ def test_model_blocks_follow_the_operator_rule(build):
 
 @pytest.mark.parametrize("key, value, error", [
     ("level_of_basis", lambda m: m.level_of_basis[:3], InvalidDimensionError),
-    ("represented", lambda m: m.represented[:3], InvalidDimensionError),
     ("level_of_basis", lambda m: ["a"] * m.dim, InvalidParameterError),
-], ids=["short-levels", "short-represented", "string-levels"])
+], ids=["short-levels", "string-levels"])
 def test_levels_and_represented_cover_the_basis(key, value, error):
-    # A short level list skipped m_constants' guard-level leakage check, a
-    # short mask checked Ytilde Y = I - P0 on a corner only, and string
-    # levels raised a builtin ValueError.
+    # A short level list skipped m_constants' guard-level leakage check, and
+    # string levels raised a builtin ValueError.
     m = atom_cavity_ae(GAMMA, G_COUP, DRIVE)
     with pytest.raises(error):
         m_constants(_rebuild(m, **{key: value(m)}), DRIVE, DRIVE, 10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda J: _osc(J_max=J),
+    lambda J: oscillator_elimination(*[np.zeros((2, 2))] * 3, [[-1.0, 0.3], [0.0, -2.0]],
+                                     [np.eye(2)], [np.zeros((2, 2))], [[np.eye(2)]], J_max=J),
+    lambda J: atom_cavity_ae(GAMMA, G_COUP, DRIVE, J_max=J),
+], ids=["oscillator", "oscillator-2d", "atom-cavity"])
+@pytest.mark.parametrize("J_max", [2, 3, 5, 8])
+def test_slow_space_and_mask_follow_the_levels(build, J_max):
+    # Level 0 is the slow space and the levels up to J_max are represented:
+    # P0, the mask and the H0 basis columns are these, entry for entry.
+    m = build(J_max)
+    slow = m.level_of_basis == 0
+    np.testing.assert_array_equal(m.P0, np.diag(slow).astype(complex))
+    np.testing.assert_array_equal(m.represented, m.level_of_basis <= J_max)
+    np.testing.assert_array_equal(m.h0_indices, np.flatnonzero(slow))
 
 
 def test_atom_cavity_ae_resolvent_denominators():
@@ -369,6 +382,35 @@ def test_ae_certificate_table_small_run():
     )
     assert res2 is None
     assert again[0].bound == reports[0].bound
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_coarse_state_transplants_at_its_cost(monkeypatch):
+    # 15 intervals refine a 5-interval coarse grid. The coarse grid was 10
+    # intervals, and the midpoint resampling onto 15 moved the coarse state's
+    # cost from 0.0048524 to 0.0048569.
+    searches, search = [], adiabatic.optimize
+
+    def first_search_only(model, psi, initial, schedule):
+        if searches:
+            searches.append(initial)
+            raise _Stop
+        searches.append(search(model, psi, initial, schedule))
+        return searches[0]
+
+    monkeypatch.setattr(adiabatic, "optimize", first_search_only)
+    with pytest.raises(_Stop):
+        ae_certificate_table((), n_intervals=15, blocks=1)
+    coarse, refined = searches
+    assert coarse.state.terms[0][1].n_intervals == 5
+    assert refined.terms[0][1].n_intervals == 15
+    reduced = limit_coefficients(atom_cavity_ae(GAMMA, G_COUP, DRIVE))
+    psi = (np.array([0.0, 1.0], dtype=complex), SimpleFunction.constant([DRIVE], 1.0))
+    assert residual_cost(reduced, psi, refined) == pytest.approx(
+        residual_cost(reduced, psi, coarse.state), rel=1e-13)
 
 
 @pytest.mark.parametrize("n_intervals, blocks, cost, nfev, bounds", [

@@ -112,6 +112,13 @@ def test_matexp_rejects_nonfinite():
         matexp(np.eye(2), np.inf)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_matexp_rejects_a_non_square_matrix(shape):
+    # numpy's LinAlgError once escaped for a (2, 3) matrix.
+    with pytest.raises(InvalidDimensionError, match="square"):
+        matexp(np.zeros(shape, complex), 0.1)
+
+
 def _subnormal_parts(x):
     parts = np.abs(np.asarray(x).view(float))
     return int(np.count_nonzero((parts > 0.0) & (parts < np.finfo(float).tiny)))

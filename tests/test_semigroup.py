@@ -12,10 +12,12 @@ from qsdecert.verification import _random_dissipative_model
 
 from qsdecert import (
     InvalidAmplitudeError,
+    InvalidDimensionError,
     InvalidParameterError,
     ModelIntegrityError,
     PartitionError,
     SimpleFunction,
+    SlhModel,
     chain,
     generator,
     kerr_cavity,
@@ -94,6 +96,32 @@ def test_with_breakpoints_preserves_values():
     assert g.norm_sq() == pytest.approx(f.norm_sq(), rel=1e-14)
     with pytest.raises(InvalidAmplitudeError):  # midpoint 2.5 lies past t_final
         f.with_breakpoints(np.array([0.0, 1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("bp", [[0.0, 0.4, 1.2, 2.0], [0.0, 0.5, 1.0], [0.0, 2.0]],
+                         ids=["inner-point-missing", "shorter", "coarser"])
+def test_with_breakpoints_needs_a_refinement(bp):
+    # The midpoint resampling once moved the function onto any partition, so
+    # a coarse search state on 10 intervals changed its cost on 15.
+    f = SimpleFunction(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [2.0]]))
+    with pytest.raises(PartitionError, match="lacks breakpoint"):
+        f.with_breakpoints(np.array(bp))
+    assert f.with_breakpoints(np.array([0.0, 1.0 + 1e-13, 2.0])).n_intervals == 2
+
+
+def test_constructors_leave_the_callers_arrays_writeable():
+    # Freezing the caller's own complex arrays made them read-only.
+    bp, vals = np.array([0.0, 0.5, 1.0]), np.array([[0.1j], [0.2]])
+    f = SimpleFunction(bp, vals)
+    H, L = np.diag([0.0, 1.0]).astype(complex), np.diag([0.0, 1.0j])
+    model = SlhModel("x", [[np.eye(2, dtype=complex)]], [L], H)
+    for caller in (bp, vals, H, L):
+        assert caller.flags.writeable
+    for own in (f.breakpoints, f.values, model.H, model.L[0]):
+        assert not own.flags.writeable
+    bp[1], vals[0, 0], H[1, 1], L[1, 1] = 0.25, 0.0, 2.0, 0.0
+    assert f.breakpoints[1] == 0.5 and f.values[0, 0] == 0.1j
+    assert model.H[1, 1] == 1.0 and model.L[0][1, 1] == 1.0j
 
 
 def test_equality_and_hash():
@@ -199,6 +227,12 @@ def test_propagate_contraction():
     with pytest.raises(InvalidParameterError):
         propagate(g, -0.1)
     assert _abscissa(g) <= 1e-12
+
+
+def test_propagate_rejects_a_non_square_generator():
+    # numpy's LinAlgError once escaped from the exponential.
+    with pytest.raises(InvalidDimensionError, match="square"):
+        propagate(np.zeros((2, 3), complex), 0.1)
 
 
 def test_propagate_rejects_expansive_generator():

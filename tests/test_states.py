@@ -99,6 +99,14 @@ def test_approx_state_validation():
         ApproxState([(_e(0), f), (_e(1), g)])
 
 
+@pytest.mark.parametrize("u", [np.array(["a", "b"]), ["1", "0"], [[1.0], [1.0, 0.0]]],
+                         ids=["strings", "numeric-strings", "ragged"])
+def test_approx_state_system_vectors_must_be_numbers(u):
+    # A string vector raised a builtin ValueError from the complex conversion.
+    with pytest.raises(InvalidApproximantError, match="numbers"):
+        ApproxState([(u, SimpleFunction.constant([0.1], 1.0))])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_approx_state_rejects_overflowing_norm():
     # Finite entries whose squared norm overflows: rejected when the state is
