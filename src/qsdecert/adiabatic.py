@@ -467,11 +467,12 @@ def ae_certificate_table(k_list=(10**4, 10**5, 10**6, 10**7, 10**8), *,
     norms and assembly. Both search stages run the
     sequential block optimizer, which is deterministic and does not use
     `seed`: any seed gives the same state. n_intervals and blocks are counts
-    (errors.as_level). Returns (reports, optimization result or None if a
-    state was supplied).
+    (errors.as_level) and t_final is finite and > 0 (errors.as_nonnegative).
+    Returns (reports, optimization result or None if a state was supplied).
     """
     n_intervals = as_level(n_intervals, "number of intervals")
     blocks = as_level(blocks, "number of blocks")
+    t_final = as_nonnegative(t_final, "t_final", positive=True)
     model = atom_cavity_ae(gamma, g, alpha)
     reduced = limit_coefficients(model)
     u0 = np.array([0.0, 1.0], dtype=complex)  # |-, 0> in H0 coordinates

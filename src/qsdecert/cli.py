@@ -285,11 +285,12 @@ def cmd_verify(parser, args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _add_common(p, *, table=False, seed=True, seed_help=None, orders=True):
+def _add_common(p, *, table=False, seed=True, seed_help=None, orders=True,
+                k_help="single level"):
     # Unset scenario flags stay None, and _given leaves them out of library
     # calls. Only the tables take --k-list and --format.
     levels = p.add_mutually_exclusive_group() if table else p
-    levels.add_argument("--k", type=_level, help="single level")
+    levels.add_argument("--k", type=_level, help=k_help)
     if table:
         levels.add_argument("--k-list", type=_levels,
                             help="comma-separated levels (default: the paper's)")
@@ -345,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("optimize", help="search for an approximant")
     _add_common(p, orders=False,
-                seed_help="search seed, --model kerr only (default 0)")
+                seed_help="search seed, --model kerr only (default 0)",
+                k_help="--model kerr only: the level the cost is reported at "
+                "(default 19); the search runs at min(k, 19)")
     p.add_argument("--t-final", type=float)
     p.add_argument("--model", choices=("kerr", "ae"), default="kerr")
     p.add_argument("--blocks", type=_level, help="--model ae only (default 100)")

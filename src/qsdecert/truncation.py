@@ -13,7 +13,7 @@ it for both routes: truncation passes z_{r,s} and adiabatic elimination its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -412,6 +412,9 @@ KERR_LAM, KERR_DELTA = 25.0, 50.0
 KERR_CHI = -KERR_DELTA / 60.0
 KERR_ALPHA, KERR_T_FINAL = 0.1, 5.0
 KERR_KS = (19, 29, 39, 49, 59, 69, 79, 89, 99)
+# kerr_search searches at level min(k, _KERR_SEARCH_LEVEL) and searches again
+# at level k when the found state's level-k cost is further off than this.
+_KERR_SEARCH_LEVEL, _KERR_LEVEL_RTOL = KERR_KS[0], 1e-9
 
 # Reference minimizer for the Kerr benchmark (coefficients of *normalized*
 # coherent components; the loader rescales them to raw exponential-vector
@@ -434,24 +437,43 @@ def kerr_reference_state(dim: int) -> ApproxState:
 
 def kerr_search(k: int = KERR_KS[0], *, alpha: complex = KERR_ALPHA,
                 t_final: float = KERR_T_FINAL, seed: int = 0) -> OptimizeResult:
-    """Cold-start joint search for the Kerr benchmark approximant at level k."""
+    """Cold-start joint search for the Kerr benchmark approximant at level k.
+
+    The search runs at level min(k, 19), where the found state's cost agrees
+    with its level-k cost to rounding, and the result carries the level-k
+    cost; if the two differ by more than a relative 1e-9, the search runs
+    again at level k (nfev counts both). Never worse at level k than the
+    cold start."""
     k = as_level(k, "truncation level")
+    t_final = as_nonnegative(t_final, "t_final", positive=True)
     model = kerr_cavity(KERR_LAM, KERR_DELTA, KERR_CHI, k)
     f = SimpleFunction.constant([alpha], t_final)
     template = SimpleFunction([0.0, 0.1 * t_final, t_final], [[alpha], [alpha]])
     u0 = basis_state(k + 1, 0).astype(complex)
     init = ApproxState([(u0, template)], label="kerr optimized minimizer")
     schedule = OptimizeSchedule(seed=seed, u_support=3)
-    return optimize(model, (u0, f), init, schedule)
+    level = min(k, _KERR_SEARCH_LEVEL)
+    found = optimize(kerr_cavity(KERR_LAM, KERR_DELTA, KERR_CHI, level),
+                     (u0[: level + 1], f), _padded(init, level + 1), schedule)
+    state = _padded(found.state, k + 1)
+    J = cost(model, (u0, f), state)
+    if not math.isclose(J, found.cost, rel_tol=_KERR_LEVEL_RTOL):
+        redo = optimize(model, (u0, f), init, schedule)
+        return replace(redo, nfev=found.nfev + redo.nfev)
+    cold = cost(model, (u0, f), init)
+    if J > cold:
+        state, J = init, cold
+    return replace(found, state=state, cost=J)
 
 
 def kerr_table_row(k: int, *, alpha: complex = KERR_ALPHA,
                    t_final: float = KERR_T_FINAL, n_intervals: int = 10,
                    r: int = 2, s: int = 2,
                    state: ApproxState | None = None) -> CertificateReport:
-    """One Kerr benchmark certificate at truncation level k."""
+    """One Kerr benchmark certificate at truncation level k, horizon t_final > 0."""
     k = as_level(k, "truncation level")
     n_intervals = as_level(n_intervals, "number of intervals")
+    t_final = as_nonnegative(t_final, "t_final", positive=True)
     model = kerr_cavity(KERR_LAM, KERR_DELTA, KERR_CHI, k)
     breakpoints = np.linspace(0.0, t_final, n_intervals + 1)
     f = SimpleFunction(breakpoints, np.full((n_intervals, 1), alpha, dtype=complex))

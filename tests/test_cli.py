@@ -370,6 +370,17 @@ def test_negative_seed_exits_cleanly(argv, capsys):
     assert captured.err.startswith("error:") and "seed" in captured.err
 
 
+@pytest.mark.parametrize("t_final", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("model", ["kerr", "ae"])
+def test_nonpositive_horizon_exits_cleanly(model, t_final, capsys):
+    # These exited with "breakpoints must be finite and strictly increasing",
+    # which does not name the flag.
+    assert main(["optimize", "--model", model, "--t-final", t_final]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "t_final" in captured.err
+
+
 def test_main_runs_different_commands_back_to_back(tmp_path):
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps({"gamma": 2.0, "qL": 1.0, "qa": 0.5, "qe": 0.5}))

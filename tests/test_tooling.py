@@ -113,6 +113,22 @@ def test_searches_reach_the_traced_exponentials(monkeypatch):
     assert counts["_expm"] > 0 and counts["_expm2"] == 0
 
 
+def test_kerr_search_exponentiates_at_the_working_level(monkeypatch):
+    # kerr_search(30) searches at level 19, so every dense exponential of the
+    # search is 20x20; the level-30 cost goes through semigroup.chain and
+    # operators.matexp, not states._expm.
+    states = importlib.import_module("qsdecert.states")
+    shapes = []
+
+    def recorded(M, _fn=states._expm):
+        shapes.append(np.shape(M))
+        return _fn(M)
+
+    monkeypatch.setattr(states, "_expm", recorded)
+    qsdecert.kerr_search(30)
+    assert shapes and set(shapes) == {(20, 20)}
+
+
 def test_searches_reach_the_traced_solve(monkeypatch):
     # perfbench/tracing.py's states.solve layer wraps
     # states._solve_coefficients: both searches must solve every candidate

@@ -33,6 +33,7 @@ from qsdecert import (
     c_sequence,
     coherent_mismatch,
     constants_for,
+    cost,
     exp_norm,
     fock_expand_residual,
     generator,
@@ -52,6 +53,7 @@ from qsdecert import (
     truncate,
     z_bound,
 )
+from qsdecert import truncation
 from qsdecert.truncation import MAX_ORDER_SUM
 
 KERR19 = kerr_constants(19, 0.1, 0.1, 25.0)
@@ -660,6 +662,54 @@ def test_kerr_search_anchor():
     assert res.cost == 0.009609850368077735
     assert res.nfev == 788
     assert not res.search_failure
+
+def _kerr_level_cost(k, alpha, state):
+    """cost of state at level k against the Kerr search's reference (e_0, f)."""
+    model = kerr_cavity(25.0, 50.0, -50.0 / 60.0, k)
+    u0 = np.zeros(k + 1, dtype=complex)
+    u0[0] = 1.0
+    return cost(model, (u0, SimpleFunction.constant([alpha], 5.0)), state)
+
+
+@pytest.mark.parametrize("k, alpha, J, nfev", [
+    (28, 0.0731, 0.0070248638255670445, 814),
+    (43, 0.1555, 0.014942907923906963, 856),
+    (58, 0.2, 0.01921858682716666, 833),
+    (30, 0.05, 0.004804994814950205, 822),
+])
+def test_kerr_search_above_19_matches_the_level_k_search(k, alpha, J, nfev):
+    # Cost and nfev of a search run at level k itself, bit for bit: the
+    # search at level 19 finds the same state, and its cost is reported at k.
+    res = kerr_search(k, alpha=alpha)
+    assert (res.cost, res.nfev) == (J, nfev)
+    assert not res.search_failure
+    assert res.state.terms[0][0].shape == (k + 1,)
+    assert res.cost == _kerr_level_cost(k, alpha, res.state)
+
+
+def test_kerr_search_is_never_worse_than_the_cold_start():
+    # The search guarantees this at the level it searched; the result must
+    # hold it at the level it reports.
+    k, alpha = 44, 0.1873
+    u0 = np.zeros(k + 1, dtype=complex)
+    u0[0] = 1.0
+    template = SimpleFunction([0.0, 0.5, 5.0], [[alpha], [alpha]])
+    cold = _kerr_level_cost(k, alpha, ApproxState([(u0, template)]))
+    assert kerr_search(k, alpha=alpha).cost <= cold
+
+
+def test_kerr_search_falls_back_to_a_level_k_search(monkeypatch):
+    # A level-3 search costed at 19 is 5.9e-10 off, beyond 1e-12: the level
+    # check fires and the level-19 search runs, its evaluations added to the
+    # 815 of the level-3 search.
+    anchor = kerr_search(19)
+    monkeypatch.setattr(truncation, "_KERR_SEARCH_LEVEL", 3)
+    monkeypatch.setattr(truncation, "_KERR_LEVEL_RTOL", 1e-12)
+    res = kerr_search(19)
+    assert res.cost == 0.009609850368077735
+    assert res.nfev == 815 + 788
+    assert res.state.to_json() == anchor.state.to_json()
+
 
 def _mp_kerr_residual(mp, k, alpha=0.1):
     """Residual of the Kerr table row at level k in mpmath arithmetic.
