@@ -45,11 +45,18 @@ __all__ = [
     "propagate",
     "chain",
     "refine_common",
+    "same_breakpoint",
 ]
 
 CONTRACTION_TOL = 1e-9
-# Breakpoints closer than this are merged when building a union partition.
 BREAKPOINT_MERGE_TOL = 1e-12
+
+
+def same_breakpoint(s, t, horizon):
+    """Whether times s and t (floats or arrays) are one breakpoint of a partition
+    of [0, horizon]: |s - t| <= BREAKPOINT_MERGE_TOL * max(1, |horizon|). Scaled,
+    because past t = 8192 one ulp of a breakpoint exceeds 1e-12."""
+    return abs(s - t) <= BREAKPOINT_MERGE_TOL * max(1.0, abs(horizon))
 
 
 class SimpleFunction:
@@ -106,19 +113,11 @@ class SimpleFunction:
     def zero(cls, m: int, t_final: float):
         return cls.constant(np.zeros(m, dtype=complex), t_final)
 
-    def interval_index(self, ts) -> np.ndarray:
-        """Index of the interval holding each time in ts (a float or an array);
-        InvalidAmplitudeError for a time outside [0, t_final)."""
-        ts = np.asarray(ts, dtype=float)
-        outside = ~((ts >= 0.0) & (ts < self.t_final))
-        if outside.any():
-            raise InvalidAmplitudeError(
-                f"time {ts[outside].flat[0]} outside [0, {self.t_final})"
-            )
-        return np.searchsorted(self.breakpoints, ts, side="right") - 1
-
     def value_at(self, t: float) -> np.ndarray:
-        return self.values[self.interval_index(t)]
+        """The value at time t; InvalidAmplitudeError outside [0, t_final)."""
+        if not 0.0 <= t < self.t_final:
+            raise InvalidAmplitudeError(f"time {t} outside [0, {self.t_final})")
+        return self.values[np.searchsorted(self.breakpoints, t, side="right") - 1]
 
     def durations(self) -> np.ndarray:
         return np.diff(self.breakpoints)
@@ -135,18 +134,21 @@ class SimpleFunction:
 
     def with_breakpoints(self, breakpoints) -> "SimpleFunction":
         """Re-express on a refinement: a partition that holds every original
-        breakpoint to BREAKPOINT_MERGE_TOL, else PartitionError. A partition
-        reaching past t_final raises InvalidAmplitudeError."""
-        bp = np.asarray(breakpoints, dtype=float)
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        refined = SimpleFunction(bp, self.values[self.interval_index(mids)])
-        bp, old = refined.breakpoints, self.breakpoints
+        breakpoint and ends at t_final (same_breakpoint), else PartitionError;
+        a malformed partition raises InvalidAmplitudeError."""
+        bp = np.array(breakpoints, dtype=float, ndmin=1)
+        old, t_final = self.breakpoints, self.t_final
+        rows = np.searchsorted(old, 0.5 * (bp[:-1] + bp[1:]), side="right")
+        refined = SimpleFunction(bp, self.values[rows.clip(1, self.n_intervals) - 1])
+        bp = refined.breakpoints
         near = np.searchsorted(bp, old).clip(1, bp.size - 1)
-        gaps = np.minimum(np.abs(bp[near] - old), np.abs(bp[near - 1] - old))
-        if (gaps > BREAKPOINT_MERGE_TOL).any():
+        held = (same_breakpoint(bp[near], old, t_final)
+                | same_breakpoint(bp[near - 1], old, t_final))
+        if not held.all():
             raise PartitionError(
-                f"partition lacks breakpoint {old[gaps.argmax()]} of the function"
-            )
+                f"partition lacks breakpoint {old[held.argmin()]} of the function")
+        if not same_breakpoint(bp[-1], t_final, t_final):
+            raise PartitionError(f"partition runs past the final time {t_final} to {bp[-1]}")
         return refined
 
     def __eq__(self, other):
@@ -168,16 +170,16 @@ class SimpleFunction:
 
 
 def refine_common(f: SimpleFunction, g: SimpleFunction):
-    """Return (f, g) re-expressed on the union of their partitions."""
-    if abs(f.t_final - g.t_final) > BREAKPOINT_MERGE_TOL:
-        raise PartitionError(
-            f"final times differ: {f.t_final} vs {g.t_final}"
-        )
-    merged = np.union1d(f.breakpoints, g.breakpoints)
-    # Collapse points that differ only by roundoff.
-    keep = [merged[0]]
+    """Return (f, g) re-expressed on the union of their partitions, with points
+    that are one by same_breakpoint (over the longer horizon) merged; final times
+    that are not one raise PartitionError."""
+    horizon = max(f.t_final, g.t_final)
+    if not same_breakpoint(f.t_final, g.t_final, horizon):
+        raise PartitionError(f"final times differ: {f.t_final} vs {g.t_final}")
+    merged = np.union1d(f.breakpoints, g.breakpoints).tolist()
+    keep = merged[:1]
     for t in merged[1:]:
-        if t - keep[-1] > BREAKPOINT_MERGE_TOL:
+        if not same_breakpoint(t, keep[-1], horizon):
             keep.append(t)
     bp = np.asarray(keep)
     bp[-1] = min(f.t_final, g.t_final)

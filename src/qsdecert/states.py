@@ -50,11 +50,11 @@ from .errors import (
 )
 from .models import SlhModel, decode_vector, encode_vector
 from .semigroup import (
-    BREAKPOINT_MERGE_TOL,
     SimpleFunction,
     affine_basis,
     affine_coefficients,
     chain,
+    same_breakpoint,
 )
 
 __all__ = [
@@ -99,8 +99,9 @@ def exp_norm(f: SimpleFunction) -> float:
 
 
 class ApproxState:
-    """psi' = sum_j u_j (x) e(g_j) with a shared final time; each u_j a
-    finite, nonzero vector of numbers, else InvalidApproximantError."""
+    """psi' = sum_j u_j (x) e(g_j) with a final time shared by
+    semigroup.same_breakpoint (else PartitionError); each u_j a finite,
+    nonzero vector of numbers, else InvalidApproximantError."""
 
     def __init__(self, terms, label: str = ""):
         terms = list(terms)
@@ -118,7 +119,7 @@ class ApproxState:
                 raise InvalidApproximantError("amplitudes must be SimpleFunction")
         t = terms[0][1].t_final
         for u, g in terms:
-            if abs(g.t_final - t) > 1e-12:
+            if not same_breakpoint(g.t_final, t, t):
                 raise PartitionError("terms do not share a final time")
             if u.ndim != 1 or not np.all(np.isfinite(u.view(float))):
                 raise InvalidApproximantError("system vectors must be finite 1-d")
@@ -460,8 +461,8 @@ class _Problem:
     """The search problem of one optimize call, frozen for both searches.
 
     One partition rule holds for both: the terms share one partition, and
-    it holds every breakpoint of f (to BREAKPOINT_MERGE_TOL), so f is
-    constant on each interval; otherwise PartitionError. Frozen on it: the
+    f.with_breakpoints moves f onto it, so f is constant on each interval;
+    otherwise PartitionError. Frozen on it: the
     durations dts, the dt-scaled affine basis of f (dt G(beta) =
     basis . (1, beta, -|beta|^2 / 2) per interval), the row u^dag, the
     initial (L, d) system vectors and (L, P, m) amplitude values, the solve's
@@ -471,12 +472,8 @@ class _Problem:
     def __init__(self, model, psi, initial: ApproxState, schedule: OptimizeSchedule):
         u, f = psi
         self.breakpoints = initial.terms[0][1].breakpoints
-        gaps = np.abs(f.breakpoints[:, None] - self.breakpoints[None, :]).min(axis=1)
-        if ((gaps > BREAKPOINT_MERGE_TOL).any() or not all(
-                np.array_equal(g.breakpoints, self.breakpoints) for _, g in initial.terms)):
-            raise PartitionError(
-                "the search needs the terms on one partition holding every breakpoint of f"
-            )
+        if not all(np.array_equal(g.breakpoints, self.breakpoints) for _, g in initial.terms):
+            raise PartitionError("the search needs the terms on one partition")
         self.dts = np.diff(self.breakpoints)
         alphas = f.with_breakpoints(self.breakpoints).values
         self.basis = affine_basis(model, alphas) * self.dts[:, None, None, None]

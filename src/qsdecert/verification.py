@@ -34,7 +34,7 @@ from .errors import (
 )
 from .models import SlhModel, _fock_embedding, kerr_cavity, kerr_family
 from .operators import matexp, opnorm
-from .semigroup import SimpleFunction, generator, propagate
+from .semigroup import SimpleFunction, generator, propagate, same_breakpoint
 from .states import ApproxState, residual_norm
 from .truncation import KERR_CHI, KERR_DELTA, KERR_LAM, constants_for, z_bound
 
@@ -199,7 +199,7 @@ def fock_expand_residual(model: SlhModel, psi, psi_prime: ApproxState,
     u2, g = psi_prime.terms[0]
     if f.n_intervals != 1 or g.n_intervals != 1:
         raise InvalidParameterError("oracle handles single-interval amplitudes only")
-    if abs(f.t_final - g.t_final) > 1e-12:
+    if not same_breakpoint(f.t_final, g.t_final, f.t_final):
         raise InvalidParameterError("amplitude horizons differ")
     for h in (f, g):
         if math.sqrt(h.norm_sq()) > 0.5:

@@ -94,8 +94,10 @@ def test_with_breakpoints_preserves_values():
     g = f.with_breakpoints(np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
     np.testing.assert_array_equal(g.values.ravel(), [1.0, 1.0, 2.0, 2.0])
     assert g.norm_sq() == pytest.approx(f.norm_sq(), rel=1e-14)
-    with pytest.raises(InvalidAmplitudeError):  # midpoint 2.5 lies past t_final
+    with pytest.raises(PartitionError, match="past the final time"):
         f.with_breakpoints(np.array([0.0, 1.0, 2.0, 3.0]))
+    with pytest.raises(InvalidAmplitudeError):  # a scalar is no partition
+        f.with_breakpoints(2.0)
 
 
 @pytest.mark.parametrize("bp", [[0.0, 0.4, 1.2, 2.0], [0.0, 0.5, 1.0], [0.0, 2.0]],
@@ -107,6 +109,19 @@ def test_with_breakpoints_needs_a_refinement(bp):
     with pytest.raises(PartitionError, match="lacks breakpoint"):
         f.with_breakpoints(np.array(bp))
     assert f.with_breakpoints(np.array([0.0, 1.0 + 1e-13, 2.0])).n_intervals == 2
+
+
+@pytest.mark.parametrize("t_final", [1.0, 1e3, 1e4, 1e6])
+def test_long_horizon_grids_merge_without_slivers(t_final):
+    # An absolute 1e-12 merge tolerance is below one ulp past t = 8192: at
+    # T = 1e4 the two grids' shared points 8333.33... differed by 1.8e-12, so
+    # refine_common kept a sliver interval and with_breakpoints raised.
+    f = SimpleFunction(np.linspace(0.0, t_final, 7), np.arange(6.0)[:, None])
+    g = SimpleFunction(np.linspace(0.0, t_final, 67), np.arange(66.0)[:, None])
+    f2, g2 = refine_common(f, g)
+    assert f2.n_intervals == g2.n_intervals == 66
+    assert f2.durations().min() >= t_final / 1000
+    assert f.with_breakpoints(g.breakpoints).n_intervals == 66
 
 
 def test_constructors_leave_the_callers_arrays_writeable():

@@ -502,6 +502,20 @@ def test_block_mode_requires_shared_partition(block_size):
 
 
 @MODES
+def test_search_rejects_terms_past_the_drive(block_size):
+    # A partition running past f's final time is a PartitionError, from the
+    # search problem too (its rule once let InvalidAmplitudeError through).
+    f = SimpleFunction(np.array([0.0, 0.5, 1.0]), np.array([[0.1], [0.3j]]))
+    g = SimpleFunction(np.array([0.0, 0.5, 1.0, 1.5]), np.full((3, 1), 0.1))
+    init = ApproxState([(_e(0), g)])
+    schedule = OptimizeSchedule(block_size=block_size)
+    with pytest.raises(PartitionError):
+        optimize(MODEL, (_e(0), f), init, schedule)
+    with pytest.raises(PartitionError, match="past the final time"):
+        _Problem(MODEL, (_e(0), f), init, schedule)
+
+
+@MODES
 def test_block_mode_rejects_drive_breakpoints_off_the_partition(block_size):
     # f breaks at 0.3, inside the terms' interval [0.25, 0.5): the search
     # would read f at that interval's midpoint and minimize the residual of

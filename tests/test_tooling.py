@@ -2,7 +2,8 @@
 program objects that exist; the searches reach the tracer's exponential
 layers and solve every candidate through its solve layer; scipy's expm has
 only its known callers; only states reaches numpy's private lstsq gufunc;
-the library raises only its own errors and has no assert; no library module
+the library raises only its own errors and has no assert; only semigroup
+decides when two breakpoints are one; no library module
 imports another's private names beyond two known helpers or imports
 scipy.optimize; scipy loads only in the commands that call it, and
 scipy.optimize in none."""
@@ -251,6 +252,40 @@ def test_library_raises_only_its_own_errors_and_asserts_nothing():
                 if (path.name, _enclosing_function(node, parents), name) not in allowed:
                     foreign.append(f"{path.name}:{node.lineno} {name}")
     assert foreign == [] and asserts == []
+
+
+def _abs_of_t_final_difference(node):
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) in ("abs", "np.abs")
+            and len(node.args) == 1 and isinstance(node.args[0], ast.BinOp)
+            and isinstance(node.args[0].op, ast.Sub)
+            and any(isinstance(side, ast.Attribute) and side.attr == "t_final"
+                    for side in (node.args[0].left, node.args[0].right)))
+
+
+def _number(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+
+def test_only_semigroup_decides_when_breakpoints_are_one():
+    # semigroup.same_breakpoint is the one rule, its tolerance scaled by the
+    # horizon. Absolute copies of it (BREAKPOINT_MERGE_TOL or a literal on
+    # |t_final - ...|) split long horizons into sliver intervals.
+    src = Path(qsdecert.__file__).resolve().parent
+    copies = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "semigroup.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            if "BREAKPOINT_MERGE_TOL" in names:
+                copies.append(f"{path.name}:{node.lineno} BREAKPOINT_MERGE_TOL")
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(map(_abs_of_t_final_difference, sides)) and any(map(_number, sides)):
+                    copies.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert copies == []
 
 
 def test_no_module_imports_private_names_of_another():
