@@ -176,12 +176,20 @@ def refine_common(f: SimpleFunction, g: SimpleFunction):
     horizon = max(f.t_final, g.t_final)
     if not same_breakpoint(f.t_final, g.t_final, horizon):
         raise PartitionError(f"final times differ: {f.t_final} vs {g.t_final}")
-    merged = np.union1d(f.breakpoints, g.breakpoints).tolist()
-    keep = merged[:1]
-    for t in merged[1:]:
-        if not same_breakpoint(t, keep[-1], horizon):
-            keep.append(t)
-    bp = np.asarray(keep)
+    bp = np.union1d(f.breakpoints, g.breakpoints)
+    close = same_breakpoint(bp[1:], bp[:-1], horizon)
+    if (close[1:] & close[:-1]).any():
+        # A point is one with the last one kept, not its neighbour: a run of
+        # three or more close points can outlast the tolerance.
+        merged = bp.tolist()
+        keep = merged[:1]
+        for t in merged[1:]:
+            if not same_breakpoint(t, keep[-1], horizon):
+                keep.append(t)
+        bp = np.asarray(keep)
+    else:
+        # Close pairs are isolated: each drops its second point.
+        bp = bp[np.concatenate([[True], ~close])]
     bp[-1] = min(f.t_final, g.t_final)
     return f.with_breakpoints(bp), g.with_breakpoints(bp)
 

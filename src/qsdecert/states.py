@@ -6,14 +6,17 @@ amplitudes. Squared norms and overlaps against the truncated propagator reduce
 to ordinary matrix algebra through exp_inner and the interval semigroup chain,
 so no Fock expansion of the field is ever needed here.
 
-The search treats only the amplitude values as free simplex parameters: for
-fixed amplitudes the cost is a nonnegative quadratic in the system-vector
+The search treats only the amplitude values as free parameters: for fixed
+amplitudes the cost is a nonnegative quadratic in the system-vector
 coefficients, so the optimal u_j are recovered exactly from the terms' Gram
-system at every evaluation. The simplex is this module's `_nelder_mead`,
-scipy's Nelder-Mead arithmetic without its front end, so no search loads
+system at every evaluation. The joint search over every value at once runs
+`_lbfgs` on the exact gradient (`_Problem.gradient`) for 2x2 models and the
+simplex otherwise; the block sweep runs the simplex on one block at a time.
+The simplex is this module's `_nelder_mead`, scipy's Nelder-Mead arithmetic
+without its front end, and `_lbfgs` is this module's too, so no search loads
 scipy.optimize.
 
-Both searches (joint simplex, block sweep) run on one `_Problem`, frozen
+Both searches (joint, block sweep) run on one `_Problem`, frozen
 once per `optimize` call under one partition rule: the terms share one
 partition, and it holds every breakpoint of f, or PartitionError. The
 problem freezes the drive's dt-scaled `semigroup.affine_basis` on that
@@ -69,13 +72,19 @@ __all__ = [
     "optimize",
 ]
 
-# Penalty returned to the simplex when a candidate produces a non-finite cost.
+# Penalty returned to the searches when a candidate produces a non-finite cost.
 SEARCH_PENALTY = 1e6
-# Nelder-Mead tolerances on the simplex's costs and vertices. The joint search
+# Nelder-Mead tolerances on the simplex's costs and vertices. The joint simplex
 # runs RESTARTS simplex searches, each after the first from the best point so
 # far plus RESTART_SCALE times a seeded standard normal draw.
 FATOL, XATOL = 1e-10, 1e-7
 RESTARTS, RESTART_SCALE = 3, 0.05
+# L-BFGS stop rules for the gradient search of 2x2 models: a gradient
+# max-norm at most LBFGS_GTOL, or a step lowering the cost by at most
+# LBFGS_FTOL relative to max(|cost|, 1). Each step uses the last LBFGS_MEMORY
+# steps and halves its length at most LBFGS_BACKTRACKS times.
+LBFGS_GTOL, LBFGS_FTOL = 1e-5, 2.2e-9
+LBFGS_MEMORY, LBFGS_BACKTRACKS = 10, 40
 _EPS = np.finfo(float).eps
 
 
@@ -233,21 +242,25 @@ def cost(model: SlhModel, psi, state: ApproxState) -> float:
 class OptimizeSchedule:
     """Search configuration for :func:`optimize`.
 
-    block_size=None runs one joint simplex search over all free amplitude
-    values; a positive block_size sweeps the partition block by block,
-    minimizing the full-horizon cost over one block at a time. Both modes
-    need the terms on one shared partition holding every breakpoint of the
-    drive f (PartitionError otherwise). The system
-    vectors are not searched: they are solved exactly from the terms' Gram
-    system (restricted to the first u_support components when set, frozen
-    tails handled exactly). u_penalty > 0 damps that solve toward small
+    block_size=None runs one joint search over all free amplitude values:
+    L-BFGS on the exact gradient for a 2x2 model, which ignores `seed`,
+    else Nelder-Mead with seeded restarts. A positive block_size sweeps the
+    partition block by block, minimizing the full-horizon cost over one
+    block at a time with Nelder-Mead. Both modes need the terms on one
+    shared partition holding every breakpoint of the drive f
+    (PartitionError otherwise). The system vectors are not searched: they
+    are solved exactly from the terms' Gram system (restricted to the first
+    u_support components when set, frozen tails handled exactly).
+    u_penalty > 0 damps that solve toward small
     coefficients -- the exact minimizer of an ill-conditioned Gram system
     cancels huge terms against each other, which is poison for certificates
     whose rate sums are weighted by sum_j ||u_j||. The reported cost is
     always the true undamped residual. seed (errors.as_seed) draws the joint
-    search's restart points; the tolerances and restarts are the constants
-    FATOL, XATOL, RESTARTS and RESTART_SCALE. max_iter, u_support and
-    block_size, when set, are counts (errors.as_level) and u_penalty a rate
+    simplex's restart points; the tolerances and restarts are the constants
+    FATOL, XATOL, RESTARTS and RESTART_SCALE, and LBFGS_GTOL, LBFGS_FTOL,
+    LBFGS_MEMORY and LBFGS_BACKTRACKS for L-BFGS; max_iter caps the
+    iterations of either method. max_iter, u_support and block_size, when
+    set, are counts (errors.as_level) and u_penalty a rate
     (errors.as_nonnegative); anything else raises InvalidParameterError.
     """
 
@@ -305,6 +318,49 @@ def _expm2(gs) -> list:
         es = e * sh
         esa = es * a
         out.append((ec + esa, es * g01, es * g10, ec - esa))
+    return out
+
+
+def _expm2_adjoint(gs, bars) -> list:
+    """Entries of Gbar per 2x2 G in gs with Tbar in bars, all as (x00, x01,
+    x10, x11), such that Re sum dT_xy Tbar_xy = Re sum dG_xy Gbar_xy for
+    T = exp(G) and every direction dG: the transpose of the Frechet derivative
+    of _expm2's closed form. With z = d^2, C = cosh(d) and S = sinh(d) / d,
+    dC/dz = S / 2 and dS/dz = (C - S) / (2 z), taken from its series below
+    |d| = 0.1, where the quotient cancels. Where cmath overflows or rejects a
+    non-finite argument, the entries are NaN, as in _expm2.
+    """
+    import cmath
+
+    out = []
+    for (g00, g01, g10, g11), (b00, b01, b10, b11) in zip(gs, bars):
+        mu = 0.5 * (g00 + g11)
+        a = g00 - mu
+        d2 = a * a + g01 * g10
+        try:
+            d = cmath.sqrt(d2)
+            if abs(d) < 1e-6:
+                ch = 1.0 + d2 / 2.0 + d2 * d2 / 24.0
+                sh = 1.0 + d2 / 6.0 + d2 * d2 / 120.0
+            else:
+                ch = cmath.cosh(d)
+                sh = cmath.sinh(d) / d
+            if abs(d) < 0.1:
+                dsh = 1.0 / 6.0 + d2 * (1.0 / 60.0 + d2 * (1.0 / 1680.0 + d2 / 90720.0))
+            else:
+                dsh = (ch - sh) / (2.0 * d2)
+            e = cmath.exp(mu)
+        except (OverflowError, ValueError):
+            out.append((math.nan,) * 4)
+            continue
+        ec, es = e * ch, e * sh
+        # <T, Tbar>, then the coefficients of dz and of dN = dG - dmu I.
+        t_bar = (ec + es * a) * b00 + es * (g01 * b01 + g10 * b10) + (ec - es * a) * b11
+        z_bar = e * (0.5 * sh * (b00 + b11) + dsh * (a * (b00 - b11) + g01 * b01 + g10 * b10))
+        half = 0.5 * t_bar
+        skew = 0.5 * es * (b00 - b11)
+        out.append((half + z_bar * a + skew, z_bar * g10 + es * b01,
+                    z_bar * g01 + es * b10, half - z_bar * a - skew))
     return out
 
 
@@ -440,13 +496,97 @@ def _chainer(rows, basis):
     return chain
 
 
+def _chain2_pullback(row, basis):
+    """betas -> (row T^(0) ... T^(P-1), pullback) for a 2x2 model's row and
+    dt-scaled basis slice: the row is _chainer's, bit for bit, and
+    pullback(qbar) is the (P, m) complex gradient g of Re(q . qbar) in the
+    amplitude values, d Re(q . qbar) = Re sum conj(g) dbeta. The prefix rows
+    the forward pass keeps and the suffix products applied to qbar, carried
+    right to left, give each interval's Tbar; _expm2_adjoint turns it into
+    Gbar, and dt G = B0 + sum_c beta_c B_c - (|beta|^2 / 2) B_I into g.
+    """
+    slices = basis.reshape(len(basis), -1, 4).tolist()
+    start = row.tolist()
+
+    def chain(betas):
+        blist = betas.tolist()
+        gens = _generators2(slices, blist)
+        Ts = _expm2(gens)
+        r0, r1 = start
+        prefix = []
+        for t00, t01, t10, t11 in Ts:
+            prefix.append((r0, r1))
+            r0, r1 = r0 * t00 + r1 * t10, r0 * t01 + r1 * t11
+
+        def pullback(qbar):
+            w0, w1 = qbar.tolist()
+            bars = []
+            for (p0, p1), (t00, t01, t10, t11) in zip(reversed(prefix), reversed(Ts)):
+                bars.append((p0 * w0, p0 * w1, p1 * w0, p1 * w1))
+                w0, w1 = t00 * w0 + t01 * w1, t10 * w0 + t11 * w1
+            bars.reverse()
+            grad = []
+            for b, beta, (h00, h01, h10, h11) in zip(slices, blist,
+                                                     _expm2_adjoint(gens, bars)):
+                ident = (b[-1][0] * h00 + b[-1][3] * h11).real
+                grad.append([
+                    (x00 * h00 + x01 * h01 + x10 * h10 + x11 * h11).conjugate()
+                    - bc * ident
+                    for bc, (x00, x01, x10, x11) in zip(beta, b[1:-1])
+                ])
+            return grad
+
+        return np.array((r0, r1)), pullback
+
+    return chain
+
+
+def _solve_pullback(kappa, qs, solved, support, penalty):
+    """(Kbar, Dbar, Qbar) of the squared cost V that _solve_coefficients took
+    the root of, at its solution `solved`: dV = Re sum dkappa Kbar + Dbar .
+    d diag(kappa) + Re sum dqs Qbar, for the Gram matrix kappa, its real
+    diagonal on its own and the chain rows qs.
+
+    With A = kappa + penalty diag(kappa), c = A^+ v and v = conj(w q), V is
+    c0 - 2 Re v^H c + c^H kappa c: the undamped residual at the damped
+    solution, which the damped solve does not minimize, so the derivative
+    goes through the solve. One adjoint solve gives lam = A^+ (kappa c - v)
+    = -penalty A^+ diag(kappa) c, and the solve's share of dV is
+    2 Re lam^H (dv - dA c). Without damping lam is 0: the envelope theorem.
+    """
+    s = support
+    qs = np.asarray(qs)
+    L = len(qs)
+    diag = kappa.diagonal().real
+    ws = np.sqrt(diag)
+    c = solved[:, :s]
+    lam, dbar = 0.0, np.zeros(L)
+    if penalty > 0.0:
+        damped = kappa.copy()
+        damped.flat[::L + 1] += penalty * diag
+        lam = -penalty * _lstsq_gufunc(damped, diag[:, None] * c, _EPS * L * s,
+                                       signature="DDd->Ddid")[0]
+        dbar -= 2.0 * penalty * np.sum(lam.conj() * c, axis=1).real
+    resid = lam - c
+    kbar = (c - 2.0 * lam).conj() @ c.T
+    qbar = np.empty(qs.shape, dtype=complex)
+    qbar[:, :s] = 2.0 * ws[:, None] * resid
+    dbar += np.sum(qs[:, :s] * resid, axis=1).real / ws
+    if s < qs.shape[1]:
+        tails = solved[:, s:]
+        kbar += tails.conj() @ tails.T
+        qbar[:, s:] = -2.0 * ws[:, None] * tails
+        dbar -= np.sum(qs[:, s:] * tails, axis=1).real / ws
+    return kbar, dbar, qbar
+
+
 def _gram(dts, vals) -> np.ndarray:
     """sum_p dt_p <g_i(p), g_l(p)> for (L, P, m) amplitude values, as (L, L)."""
     return np.einsum("p,ipc,lpc->il", dts, np.conj(vals), vals)
 
 
 def _split(vals) -> np.ndarray:
-    """The real simplex vector of complex values: real parts, then imaginary."""
+    """The real search vector of complex values: real parts, then imaginary."""
     flat = np.ravel(vals)
     return np.concatenate([flat.real, flat.imag])
 
@@ -493,6 +633,34 @@ class _Problem:
         kappa = np.exp(_gram(self.dts, vals))
         qs = [self.chain(v) for v in vals]
         return _solve_coefficients(kappa, qs, self.us, self.support, self.penalty)
+
+    def gradient(self):
+        """vals -> (cost, gradient, solved u array, failed) for a 2x2 model:
+        the cost is evaluate's, bit for bit, and the (L, P, m) complex
+        gradient g has dcost = Re sum conj(g) dvals (None where the cost
+        failed; zero where it is 0). It runs backward through the solve
+        (_solve_pullback), the chain rows (_chain2_pullback) and the Gram
+        exponentials, whose pullback is dt_p (H + H^H) vals[:, p] for
+        H = kappa * Kbar with the diagonal's Dbar on H's diagonal.
+        """
+        chain = _chain2_pullback(self.row, self.basis)
+        dts = self.dts[None, :, None]
+
+        def evaluate(vals):
+            kappa = np.exp(_gram(self.dts, vals))
+            qs, pulls = zip(*[chain(v) for v in vals])
+            value, us, failed = _solve_coefficients(kappa, qs, self.us, self.support,
+                                                    self.penalty)
+            if failed or value == 0.0:
+                return value, None if failed else np.zeros_like(vals), us, failed
+            kbar, dbar, qbar = _solve_pullback(kappa, qs, us, self.support, self.penalty)
+            h = kappa * kbar
+            h.flat[::len(h) + 1] += kappa.diagonal() * dbar
+            grad = dts * np.einsum("il,lpc->ipc", h + h.conj().T, vals)
+            grad += np.array([pull(q) for pull, q in zip(pulls, qbar)])
+            return value, grad * (0.5 / value), us, False
+
+        return evaluate
 
     def state(self, us, vals) -> ApproxState:
         """The approximant of system vectors us and (L, P, m) values vals."""
@@ -583,12 +751,79 @@ def _nelder_mead(objective, x0, maxiter: int, adaptive: bool):
     return sim[0], fsim.min(), nfev
 
 
+def _lbfgs(fun_grad, x0, maxiter: int):
+    """Limited-memory BFGS from x0 for fun_grad(x) -> (value, gradient), with
+    at most maxiter iterations: the two-loop recursion over the last
+    LBFGS_MEMORY steps (Nocedal and Wright, Numerical Optimization, ch. 7)
+    and a backtracking line search to the Armijo condition, in which a value
+    that is not finite or not below SEARCH_PENALTY is a failed step. It stops
+    when the gradient's max-norm is at most LBFGS_GTOL, when a step lowers the
+    value by at most LBFGS_FTOL relative to max(|value|, 1), or when the line
+    search fails from steepest descent. Returns (x, fun, nfev, failed), failed
+    set once a value was not finite or not below SEARCH_PENALTY.
+    """
+    def call(x):
+        value, grad = fun_grad(x)
+        return value, grad, not value < SEARCH_PENALTY  # NaN is not below
+
+    x = np.array(x0, dtype=float)
+    f, g, failed = call(x)
+    nfev = 1
+    if failed:
+        return x, f, nfev, failed
+    steps, diffs = [], []
+    for _ in range(maxiter):
+        if np.abs(g).max() <= LBFGS_GTOL:
+            break
+        # Two-loop recursion: d = -H g for the inverse Hessian estimate H.
+        d = -g
+        alphas = []
+        for s, y in zip(reversed(steps), reversed(diffs)):
+            a = (s @ d) / (y @ s)
+            alphas.append(a)
+            d = d - a * y
+        if steps:
+            s, y = steps[-1], diffs[-1]
+            d = d * ((s @ y) / (y @ y))
+            for (s, y), a in zip(zip(steps, diffs), reversed(alphas)):
+                d = d + (a - (y @ d) / (y @ s)) * s
+            if not g @ d < 0.0:  # rounding lost descent: restart from -g
+                steps, diffs, d = [], [], -g
+        if not steps:  # steepest descent, its trial step at most 1 in 1-norm
+            d = d / max(1.0, np.abs(g).sum())
+        slope = g @ d
+        t = 1.0
+        for _ in range(LBFGS_BACKTRACKS):
+            x_new = x + t * d
+            f_new, g_new, bad = call(x_new)
+            nfev += 1
+            failed |= bad
+            if not bad and f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            if not steps:
+                break
+            steps, diffs = [], []  # restart from steepest descent
+            continue
+        s, y = x_new - x, g_new - g
+        if s @ y > _EPS * (y @ y):
+            steps.append(s)
+            diffs.append(y)
+            del steps[:-LBFGS_MEMORY], diffs[:-LBFGS_MEMORY]
+        done = f - f_new <= LBFGS_FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            break
+    return x, f, nfev, failed
+
+
 def __getattr__(name):
     # This hook exists only for perfbench/tracing.py, which wraps
     # states.scipy.optimize.minimize as its states.minimize layer. The
-    # searches call _nelder_mead and never reach that function, so the
-    # layer reads 0 calls until the benchmark wraps _nelder_mead itself and
-    # this hook goes (ROADMAP direction 4). Resolving the name on first use
+    # searches call _nelder_mead and _lbfgs and never reach that function, so
+    # the layer reads 0 calls until the benchmark wraps the searches itself
+    # and this hook goes (ROADMAP direction 2). Resolving the name on first use
     # keeps scipy out of the import.
     if name == "scipy":
         import scipy.optimize
@@ -597,9 +832,34 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _gradient_search(problem: _Problem, maxiter: int):
+    """_lbfgs over the split amplitude values of a 2x2 problem, on the
+    exact gradient of _Problem.gradient; returns (state, nfev, failed)."""
+    shape = problem.vals.shape
+    evaluate = problem.gradient()
+
+    def fun_grad(x):
+        value, grad, _, _ = evaluate(_join(x, shape))
+        return value, None if grad is None else _split(grad)
+
+    with np.errstate(all="ignore"):
+        x, _, nfev, failed = _lbfgs(fun_grad, _split(problem.vals), maxiter)
+        vals = _join(x, shape)
+        _, us, bad = problem.evaluate(vals)
+    return problem.state(us, vals), nfev, failed or bad
+
+
 def _joint_search(problem: _Problem, schedule: OptimizeSchedule):
+    """One search over every amplitude value at once: L-BFGS on the exact
+    gradient for 2x2 models (_gradient_search), else RESTARTS Nelder-Mead
+    runs, each after the first from a seeded perturbation of the best point.
+    Both stop at schedule.max_iter iterations, by default 400 per real
+    parameter. Returns (state, nfev, failed) like _block_search."""
     shape = problem.vals.shape
     x0 = _split(problem.vals)
+    maxiter = schedule.max_iter or 400 * x0.size
+    if len(problem.row) == 2:
+        return _gradient_search(problem, maxiter)
     failed = False
 
     def objective(x):
@@ -609,7 +869,6 @@ def _joint_search(problem: _Problem, schedule: OptimizeSchedule):
         return value
 
     rng = np.random.default_rng(schedule.seed)
-    maxiter = schedule.max_iter or 400 * x0.size
     # Every evaluation here is a candidate, the last one the best again: an
     # overflow or a failed solve is its SEARCH_PENALTY cost and sets failed.
     with np.errstate(all="ignore"):
@@ -739,11 +998,12 @@ def optimize(model: SlhModel, psi, initial: ApproxState,
              schedule: OptimizeSchedule | None = None) -> OptimizeResult:
     """Minimize cost(model, psi, .) starting from `initial`.
 
-    Derivative-free simplex search over the real and imaginary parts of every
-    free amplitude value, with system vectors solved exactly per candidate.
-    The terms of `initial` must share one partition that holds every
-    breakpoint of f, in either mode; otherwise PartitionError. The result
-    keeps the partition and the label of `initial`. Never returns a state
+    Search over the real and imaginary parts of every free amplitude value
+    (OptimizeSchedule says by which method), with system vectors solved
+    exactly per candidate. The terms of `initial` must share one partition
+    that holds every breakpoint of f, in either mode; otherwise
+    PartitionError. The result keeps the partition and the label of
+    `initial`. Never returns a state
     worse than `initial`; a non-finite cost encountered during the search
     sets `search_failure` and the best finite iterate is returned.
     """

@@ -414,18 +414,19 @@ def test_coarse_state_transplants_at_its_cost(monkeypatch):
 
 
 @pytest.mark.parametrize("n_intervals, blocks, cost, nfev, bounds", [
-    (4, 1, 0.0016581210889993593, 8608,
-     [0.018447336702168814, 0.0066278306484582414, 0.003780281719037307,
-      0.003365526549048853, 0.0033212035258410742]),
-    (6, 2, 0.004604376959721853, 13029, None),
-    (7, 3, 0.004751474426251976, 16114, None),
+    (4, 1, 0.000710425343495073, 1583,
+     [0.020232314538056666, 0.006538470016967483, 0.002468216769962771,
+      0.001557608554676327, 0.0014351130437036729]),
+    (6, 2, 0.0007076572321674888, 2919, None),
+    (7, 3, 0.0006958582669408369, 3864, None),
 ])
 def test_ae_search_paths_are_pinned(n_intervals, blocks, cost, nfev, bounds):
-    # The block search's path, bit for bit: the 4-interval pipeline is the
+    # The pipeline's path (the coarse gradient search, then the block
+    # search), bit for bit: the 4-interval pipeline is the
     # benchmark's ae-search item, the 6-interval one commits a block before
     # searching the next, and the 7-interval one ends on a one-interval
-    # block. A rounding-level change to the candidate solve or
-    # chain sends Nelder-Mead down another path, which shows here first.
+    # block. A rounding-level change to the candidate solve or chain sends
+    # L-BFGS or Nelder-Mead down another path, which shows here first.
     reports, result = ae_certificate_table(
         () if bounds is None else (10**4, 10**5, 10**6, 10**7, 10**8),
         n_intervals=n_intervals, blocks=blocks)

@@ -124,6 +124,51 @@ def test_long_horizon_grids_merge_without_slivers(t_final):
     assert f.with_breakpoints(g.breakpoints).n_intervals == 66
 
 
+def _sequential_merge(f, g):
+    """The merge rule point by point: a point of the union is kept when it is
+    not one with the last point kept."""
+    horizon = max(f.t_final, g.t_final)
+    merged = sorted(set(f.breakpoints.tolist()) | set(g.breakpoints.tolist()))
+    keep = merged[:1]
+    for t in merged[1:]:
+        if not qsdecert.semigroup.same_breakpoint(t, keep[-1], horizon):
+            keep.append(t)
+    keep[-1] = min(f.t_final, g.t_final)
+    return keep
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_refine_common_keeps_the_sequential_merge(seed):
+    # refine_common skips its per-point loop when no two neighbours of the
+    # union are one breakpoint. Clusters of three points 0.6 tolerances apart
+    # must keep the first and the third: each neighbour pair is one, but the
+    # third is not one with the first, the last point kept.
+    rng = np.random.default_rng(seed)
+    horizon = [1.0, 5.0, 1e4, 1e6][seed % 4]
+    tol = qsdecert.semigroup.BREAKPOINT_MERGE_TOL * max(1.0, horizon)
+    inner = np.sort(rng.uniform(0.0, horizon, rng.integers(1, 40)))
+    f_bp = np.concatenate([[0.0], inner, [horizon]])
+    if seed % 3 == 0:
+        g_bp = np.linspace(0.0, horizon, rng.integers(2, 30))  # no close points
+    else:
+        near = rng.choice(inner, size=min(len(inner), 5), replace=False)
+        offsets = tol * rng.choice([0.3, 0.6, 0.9, 1.2, 1.5, -0.6], size=len(near))
+        mid = 0.5 * (f_bp[0] + f_bp[1])
+        cluster = [mid, mid + 0.6 * tol, mid + 1.2 * tol] if seed % 3 == 1 else []
+        g_bp = np.unique(np.concatenate([
+            [0.0], near + offsets, cluster, rng.uniform(0.0, horizon, 5),
+            [horizon + 0.5 * tol]]))
+    f = SimpleFunction(f_bp, rng.normal(size=(len(f_bp) - 1, 1)))
+    g = SimpleFunction(g_bp, rng.normal(size=(len(g_bp) - 1, 1)))
+    expected = _sequential_merge(f, g)
+    for a, b in ((f, g), (g, f)):
+        a2, b2 = refine_common(a, b)
+        assert a2.breakpoints.tolist() == b2.breakpoints.tolist() == expected
+    if seed % 3 == 1:
+        assert mid in expected and mid + 1.2 * tol in expected
+        assert mid + 0.6 * tol not in expected
+
+
 def test_constructors_leave_the_callers_arrays_writeable():
     # Freezing the caller's own complex arrays made them read-only.
     bp, vals = np.array([0.0, 0.5, 1.0]), np.array([[0.1j], [0.2]])

@@ -35,15 +35,21 @@ from qsdecert import states
 from qsdecert.adiabatic import COEFF_DAMPING
 from qsdecert.states import (
     FATOL,
+    LBFGS_FTOL,
+    LBFGS_GTOL,
     SEARCH_PENALTY,
     XATOL,
     _block_objective,
     _chainer,
     _expm2,
+    _expm2_adjoint,
     _gram,
+    _join,
+    _lbfgs,
     _nelder_mead,
     _Problem,
     _solve_coefficients,
+    _split,
     _tails,
 )
 
@@ -228,6 +234,166 @@ def test_expm2_matches_dense_expm():
         np.array([[1.0, 1.0], [0.0, 1.0]]),
         atol=1e-15,
     )
+
+
+def _frechet_from_adjoint(G, E):
+    """The directional derivative of exp at G along E, column by column from
+    _expm2_adjoint: Re sum L_xy Tbar_xy = Re sum E_xy Gbar_xy with Tbar a unit
+    matrix gives Re L_xy, and with Tbar -i times it Im L_xy."""
+    L = np.empty(4, dtype=complex)
+    g = tuple(np.ravel(G).tolist())
+    for k in range(4):
+        units = [tuple(np.eye(4)[k]), tuple(-1j * np.eye(4)[k])]
+        re, im = (np.sum(np.ravel(E) * np.array(h)).real
+                  for h in _expm2_adjoint([g, g], units))
+        L[k] = re + 1j * im
+    return L.reshape(2, 2)
+
+
+@pytest.mark.parametrize("kind", ["generic", "large", "moderate-d", "series-d"])
+def test_expm2_adjoint_matches_the_block_exponential(kind):
+    # The top-right block of exp([[G, E], [0, G]]) is the Frechet derivative
+    # of exp at G along E. The directions are a generator's along Re beta and
+    # Im beta: dt G = B0 + beta B1 - (|beta|^2 / 2) B_I.
+    rng = np.random.default_rng(["generic", "large", "moderate-d", "series-d"].index(kind))
+    for _ in range(10):
+        B0, B1 = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        dt = rng.uniform(0.1, 1.0)
+        BI = dt * np.eye(2)
+        beta = complex(rng.normal(), rng.normal())
+        if kind == "large":
+            B0 *= 5.0
+        elif kind in ("moderate-d", "series-d"):
+            # N = G - mu I with N^2 = d^2 I, |d| = 1e-3 or 1e-8.
+            x, y, mu = rng.normal(size=3) + 1j * rng.normal(size=3)
+            size = 1e-3 if kind == "moderate-d" else 1e-8
+            N = np.array([[x, y], [(size ** 2 - x * x) / y, -x]])
+            B0 = mu * np.eye(2) + N - beta * B1 + 0.5 * abs(beta) ** 2 * BI
+        G = B0 + beta * B1 - 0.5 * abs(beta) ** 2 * BI
+        if kind == "series-d":
+            d = np.sqrt(np.trace(G @ G) / 2 - np.trace(G) ** 2 / 4)
+            assert abs(d) < 1e-6
+        for E in (B1 - beta.real * BI, 1j * B1 - beta.imag * BI):
+            ref = sla.expm(np.block([[G, E], [np.zeros((2, 2)), G]]))[:2, 2:]
+            got = _frechet_from_adjoint(G, E)
+            assert np.abs(got - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
+
+
+def test_expm2_adjoint_is_nan_where_the_exponential_overflows():
+    big = (800.0, 1.0, 0.0, 800.0)
+    assert all(math.isnan(x.real) for x in _expm2(([big]))[0])
+    out = _expm2_adjoint([big, (0.0, 0.0, 0.0, 0.0)], [(1.0, 0.0, 0.0, 1.0)] * 2)
+    assert all(math.isnan(x.real) for x in out[0])
+    assert out[1] == (1.0, 0.0, 0.0, 1.0)  # d exp(G)/dG at G = 0 is the identity map
+
+
+def _random_two_by_two_problem(rng, penalty, support):
+    """A 2x2 search problem of three terms on four intervals, the drive
+    carrying a breakpoint inside."""
+    model = limit_coefficients(atom_cavity_ae(25.0, 5.0, 0.1))
+    bps = np.linspace(0.0, 1.0, 5)
+    f = SimpleFunction(bps[[0, 2, 4]], np.array([[0.1], [0.12j]]))
+    u = np.array([0.6, 0.8j])
+    terms = [(0.3 * (rng.normal(size=2) + 1j * rng.normal(size=2)),
+              SimpleFunction(bps, 0.1 + 0.1 * (rng.normal(size=(4, 1))
+                                              + 1j * rng.normal(size=(4, 1)))))
+             for _ in range(3)]
+    schedule = OptimizeSchedule(u_support=support, u_penalty=penalty)
+    return _Problem(model, (u, f), ApproxState(terms), schedule)
+
+
+@pytest.mark.parametrize("support", [1, 2])
+@pytest.mark.parametrize("penalty", [0.0, COEFF_DAMPING])
+def test_joint_gradient_matches_finite_differences(penalty, support):
+    # Five random points per case, twenty in all: the cost is evaluate's bit
+    # for bit, and the gradient matches central differences of evaluate.
+    rng = np.random.default_rng(int(1000 * penalty) + support)
+    for _ in range(5):
+        problem = _random_two_by_two_problem(rng, penalty, support)
+        vals = problem.vals
+        value, grad, us, failed = problem.gradient()(vals)
+        ref_value, ref_us, ref_failed = problem.evaluate(vals)
+        assert value == ref_value and not failed and not ref_failed
+        np.testing.assert_array_equal(us, ref_us)
+        x, h = _split(vals), 1e-6
+        fd = np.array([
+            (problem.evaluate(_join(x + h * e, vals.shape))[0]
+             - problem.evaluate(_join(x - h * e, vals.shape))[0]) / (2 * h)
+            for e in np.eye(x.size)
+        ])
+        g = _split(grad)
+        assert np.abs(g - fd).max() <= 1e-6 * np.abs(g).max()
+
+
+def _quadratic():
+    rng = np.random.default_rng(4)
+    Q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+    A = Q @ np.diag([1.0, 2.0, 5.0, 10.0, 30.0, 100.0]) @ Q.T
+    b = rng.normal(size=6)
+    return A, b
+
+
+def test_lbfgs_reaches_the_minimizer_of_a_convex_quadratic():
+    A, b = _quadratic()
+    x, fun, nfev, failed = _lbfgs(lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b),
+                                  np.zeros(6), 200)
+    exact = np.linalg.solve(A, b)
+    assert not failed and nfev < 100
+    # Within the stop rules: the search ends at a gradient max-norm of
+    # LBFGS_GTOL (A's smallest eigenvalue is 1, so x is as close) or once a
+    # step gains at most LBFGS_FTOL.
+    assert np.abs(x - exact).max() <= LBFGS_GTOL
+    assert 0.0 <= fun + 0.5 * b @ exact <= LBFGS_FTOL
+
+
+def test_lbfgs_reaches_the_rosenbrock_minimum():
+    def rosen(x):
+        a, b = x
+        return (100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2,
+                np.array([-400.0 * a * (b - a * a) - 2.0 * (1.0 - a), 200.0 * (b - a * a)]))
+
+    x, fun, nfev, failed = _lbfgs(rosen, np.array([-1.2, 1.0]), 500)
+    assert not failed and nfev < 500
+    assert np.abs(x - 1.0).max() <= 1e-4 and fun <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, SEARCH_PENALTY])
+def test_lbfgs_treats_a_nonfinite_cost_as_a_failed_step(bad):
+    # The minimizer of |x - 1|^2 lies where the cost fails (x[0] > 0.5): the
+    # line search backtracks from every such step, so the search descends,
+    # ends on a point with a finite cost and reports the failure.
+    def fun(x):
+        if x[0] > 0.5:
+            return bad, np.full(2, bad)
+        return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
+
+    x, value, _, failed = _lbfgs(fun, np.array([0.0, 0.0]), 200)
+    assert failed and x[0] <= 0.5 and value == float(np.sum((x - 1.0) ** 2)) < 2.0
+    _, _, nfev, failed = _lbfgs(fun, np.array([0.6, 0.0]), 200)
+    assert failed and nfev == 1
+
+
+def test_gradient_search_reports_a_failed_candidate(monkeypatch):
+    # A candidate whose solve fails is a failed line-search step, and the
+    # search reports it: every solve after the start fails here.
+    calls = []
+
+    def failing(kappa, qs, us, support, penalty):
+        calls.append(None)
+        if len(calls) > 1:
+            return SEARCH_PENALTY, us, True
+        return _solve_coefficients(kappa, qs, us, support, penalty)
+
+    model = limit_coefficients(atom_cavity_ae(25.0, 5.0, 0.1))
+    u0 = np.array([0.0, 1.0], dtype=complex)
+    bps = np.linspace(0.0, 1.0, 3)
+    init = ApproxState([(u0, SimpleFunction(bps, np.full((2, 1), 0.1 + s)))
+                        for s in (0.0, 0.05j)])
+    psi = (u0, SimpleFunction.constant([0.1], 1.0))
+    monkeypatch.setattr(states, "_solve_coefficients", failing)
+    res = optimize(model, psi, init, OptimizeSchedule(u_penalty=COEFF_DAMPING))
+    assert res.search_failure and res.nfev > 1
+    assert res.cost == cost(model, psi, init)  # never worse than the start
 
 
 def _kron_solve_reference(kappa, b, s, us, ws, qs, penalty):

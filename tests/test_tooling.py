@@ -90,25 +90,30 @@ def _counted(monkeypatch, module, names):
     return counts
 
 
-def _block_search():
-    """A small 2x2 block search: two terms on 4 intervals in blocks of 2."""
+def _search_2x2(block_size):
+    """A small 2x2 search: two terms on 4 intervals, in blocks of block_size
+    or (None) jointly, which takes the gradient search."""
     model = qsdecert.limit_coefficients(qsdecert.atom_cavity_ae(25.0, 5.0, 0.1))
     u0 = np.array([0.0, 1.0], dtype=complex)
     f = qsdecert.SimpleFunction.constant([0.1], 1.0)
     g = qsdecert.SimpleFunction(np.linspace(0.0, 1.0, 5), np.full((4, 1), 0.1))
-    initial = qsdecert.ApproxState([(u0, g), (u0, g)])
+    h = qsdecert.SimpleFunction(np.linspace(0.0, 1.0, 5), np.full((4, 1), 0.1 + 0.05j))
+    initial = qsdecert.ApproxState([(u0, g), (u0, h)])
     return qsdecert.optimize(model, (u0, f), initial,
-                             qsdecert.OptimizeSchedule(block_size=2, max_iter=20))
+                             qsdecert.OptimizeSchedule(block_size=block_size, max_iter=20))
 
 
 def test_searches_reach_the_traced_exponentials(monkeypatch):
     # perfbench/tracing.py's states.expm2 and states.expm_dense layers wrap
-    # states._expm2 and states._expm: the 2x2 block search must take only the
-    # first, the Kerr search (dimension k + 1 > 2) only the second.
+    # states._expm2 and states._expm: the 2x2 block and gradient searches
+    # must take only the first, the Kerr search (dimension k + 1 > 2) only
+    # the second.
     states = importlib.import_module("qsdecert.states")
     counts = _counted(monkeypatch, states, ("_expm2", "_expm"))
-    _block_search()
-    assert counts["_expm2"] > 0 and counts["_expm"] == 0
+    for block_size in (2, None):
+        counts.update(_expm2=0, _expm=0)
+        result = _search_2x2(block_size)
+        assert counts["_expm2"] >= result.nfev > 0 and counts["_expm"] == 0
     counts.update(_expm2=0, _expm=0)
     qsdecert.kerr_search(2, t_final=0.5)
     assert counts["_expm"] > 0 and counts["_expm2"] == 0
@@ -132,12 +137,15 @@ def test_kerr_search_exponentiates_at_the_working_level(monkeypatch):
 
 def test_searches_reach_the_traced_solve(monkeypatch):
     # perfbench/tracing.py's states.solve layer wraps
-    # states._solve_coefficients: both searches must solve every candidate
-    # through it, so the layer counts at least nfev calls.
+    # states._solve_coefficients: every search (block, 2x2 gradient, Kerr
+    # simplex) must solve every candidate through it, so the layer counts at
+    # least nfev calls.
     states = importlib.import_module("qsdecert.states")
     counts = _counted(monkeypatch, states, ("_solve_coefficients",))
-    result = _block_search()
-    assert counts["_solve_coefficients"] >= result.nfev > 0
+    for block_size in (2, None):
+        counts["_solve_coefficients"] = 0
+        result = _search_2x2(block_size)
+        assert counts["_solve_coefficients"] >= result.nfev > 0
     counts["_solve_coefficients"] = 0
     result = qsdecert.kerr_search(2, t_final=0.5)
     assert counts["_solve_coefficients"] >= result.nfev > 0
@@ -325,6 +333,7 @@ for name, argv in [
     ("bound", ["bound", "--constants", cfile, "--partition", "0,0.5,1"]),
     ("kerr-table", ["kerr-table", "--k-list", "3", "--format", "json"]),
     ("optimize", ["optimize", "--model", "kerr", "--k", "3"]),
+    ("optimize-ae", ["optimize", "--model", "ae", "--intervals", "2", "--blocks", "1"]),
 ]:
     assert main(argv + ["--out", out]) == 0
     steps[name] = scipy_modules()
@@ -345,7 +354,7 @@ def test_scipy_loads_only_in_commands_that_call_it(tmp_path):
     steps = json.loads(proc.stdout)
     # The rate-sum route and the import itself run without scipy; the table
     # exponentiates through scipy.linalg; no command loads scipy.optimize,
-    # since the searches' Nelder-Mead is states' own.
+    # since the searches' Nelder-Mead and L-BFGS are states' own.
     assert steps["import"] == [] and steps["bound"] == []
     assert "scipy.linalg" in steps["kerr-table"]
     assert all("scipy.optimize" not in loaded for loaded in steps.values())
